@@ -87,7 +87,6 @@ EPOCH_LOCALS = ("epoch", "retiring")
 #: from an epoch (fragment store, VFILTER).
 SNAPSHOT_MUTATORS = GENERIC_MUTATORS | {
     "materialize",
-    "materialize_encoded",
     "drop",
     "add_view",
     "add_views",
@@ -532,7 +531,7 @@ class ConcurrencyFacts:
                                 f"'{call.name}()' mutates a VFILTER "
                                 f"that may be published — deltas must "
                                 f"be built on fresh layers "
-                                f"(with_view/build)",
+                                f"(with_views/build)",
                             )
                         )
                         continue

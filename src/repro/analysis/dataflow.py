@@ -95,7 +95,7 @@ STATE_ATTRS = {"_views", "_materialized", "vfilter", "fragments"}
 #: Document attributes whose reassignment stales every plan.
 DOCUMENT_ATTRS = {"schema", "fst"}
 #: Mutating methods, keyed by the attribute they are reached through.
-FRAGMENT_METHODS = {"materialize", "materialize_encoded", "drop"}
+FRAGMENT_METHODS = {"materialize", "drop"}
 VFILTER_METHODS = {"add_view", "add_views"}
 LIST_METHODS = {"append", "remove", "clear", "extend", "pop", "insert"}
 DOCUMENT_METHODS = {"invalidate"}

@@ -141,7 +141,7 @@ _L1_STATE_ATTRS = {"_views", "_materialized", "vfilter", "fragments"}
 #: Document attributes whose reassignment stales every plan.
 _L1_DOCUMENT_ATTRS = {"schema", "fst"}
 #: Mutating methods, keyed by the attribute they are reached through.
-_L1_FRAGMENT_METHODS = {"materialize", "materialize_encoded", "drop"}
+_L1_FRAGMENT_METHODS = {"materialize", "drop"}
 _L1_VFILTER_METHODS = {"add_view", "add_views"}
 _L1_LIST_METHODS = {"append", "remove", "clear", "extend", "pop", "insert"}
 _L1_DOCUMENT_METHODS = {"invalidate"}

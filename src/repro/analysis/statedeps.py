@@ -108,7 +108,7 @@ DOC_TOKEN: Token = ("MaterializedViewSystem", "document")
 #: through: the generic container mutators plus the storage/VFILTER
 #: mutation verbs of this codebase.
 FIELD_MUTATORS = GENERIC_MUTATORS | {
-    "write", "truncate", "materialize", "materialize_encoded", "drop",
+    "write", "truncate", "materialize", "drop",
     "evict_views", "put", "delete", "add_view", "add_views",
     "insert_subtree", "remove_subtree", "remove_range", "invalidate_views",
     "note_subtree", "forget_subtree",

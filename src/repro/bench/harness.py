@@ -66,8 +66,7 @@ def build_environment(
 
     generator = QueryGenerator(document.schema, PROCESSING_CONFIG, seed=seed)
     patterns = generate_positive(generator, document.tree, view_count)
-    # Bulk registration takes the process-pool fast path when the
-    # machine has spare cores; falls back to serial transparently.
+    # One batch: one epoch publish and one VFILTER layer for all views.
     system.register_views(
         {f"G{index}": pattern for index, pattern in enumerate(patterns)}
     )

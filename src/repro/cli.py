@@ -76,8 +76,7 @@ def _build_system(arguments: argparse.Namespace) -> MaterializedViewSystem:
     document = encode_tree(tree)
     system = MaterializedViewSystem(document)
     views = _load_views(arguments)
-    workers = getattr(arguments, "workers", None)
-    fitted = set(system.register_views(views, workers=workers))
+    fitted = set(system.register_views(views))
     for view_id in views:
         if view_id not in fitted:
             print(f"note: view {view_id} exceeds the fragment cap; excluded",
@@ -585,9 +584,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="XML file (default: generated XMark)")
             sub.add_argument("--scale", type=float, default=1.0)
             sub.add_argument("--seed", type=int, default=42)
-            sub.add_argument("--workers", type=int, default=None,
-                             help="processes for parallel view "
-                                  "registration (0 = serial)")
 
     answer = commands.add_parser("answer", help="answer a query from views")
     add_common(answer, with_document=True)

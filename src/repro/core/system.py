@@ -6,9 +6,10 @@ encoded document:
 * **register views** — evaluate each view on the base data once and
   materialize its answer-node subtrees (with extended Dewey codes) into
   the fragment store, subject to the 128 KiB per-view cap; insert its
-  decomposed path patterns into VFILTER.  Bulk registration
-  (:meth:`register_views`) evaluates views in a process pool when one
-  is available (:mod:`repro.core.parallel`).
+  decomposed path patterns into VFILTER.  There is one registration
+  path, :meth:`register_views`: it takes a batch (``register_view`` is
+  a batch of one) and publishes it as one epoch, so a view set loaded
+  in one call gets one VFILTER automaton, built once, as in the paper.
 * **answer queries** — filter (VFILTER), select (MN / MV / HV), rewrite
   (refine → holistic join → extract) using only materialized fragments
   and encodings; or fall back to the BN / BF base-data baselines.
@@ -26,10 +27,10 @@ immutable :class:`RegistryEpoch` published through ``self._epoch``.
 Readers pin the epoch once at ``answer()`` entry and never look at
 mutable registry state again, so concurrent registrations can never
 tear a half-updated view pool through an in-flight query:
-``register_view`` / ``reopen`` / eviction build the *next* epoch beside
-the current one (copy-on-write; VFILTER grows by an immutable layer,
-see :class:`~repro.core.vfilter.LayeredVFilter`) and publish it with a
-single reference swap.  Every answer is therefore byte-identical to a
+``register_views`` / ``reopen`` / eviction build the *next* epoch beside
+the current one (copy-on-write; VFILTER grows by one immutable layer
+per batch, see :class:`~repro.core.vfilter.LayeredVFilter`) and publish
+it with a single reference swap.  Every answer is therefore byte-identical to a
 serial execution against the consistent registry state of its pinned
 epoch.  In-place document maintenance is the one exception — it cannot
 be snapshotted and requires external exclusion (the service layer's
@@ -59,7 +60,6 @@ from ..xpath.parser import parse_xpath
 from ..xpath.pattern import TreePattern
 from .contained import ContainedResult, maximal_contained_rewriting
 from .leaf_cover import CoverageMemo, CoverageUnit
-from .parallel import MIN_PARALLEL_VIEWS, default_workers, evaluate_views_parallel
 from .plancache import (
     DEFAULT_PLAN_CACHE_SIZE,
     PlanCache,
@@ -88,13 +88,6 @@ _STAGE_NAMES = (
     "parse", "lookup", "rewrite",
     "vfilter", "cover", "selection", "refine", "join", "extract",
 )
-
-#: Collapse the layered VFILTER back into one monolithic automaton once
-#: this many single-view delta layers have accumulated (bounds per-query
-#: filter overhead at ~K cheap layer probes while keeping bulk
-#: registration linear instead of quadratic).
-_REBUILD_DELTAS = 24
-
 
 @dataclass(frozen=True, slots=True)
 class RegistryEpoch:
@@ -174,7 +167,7 @@ class MaterializedViewSystem:
     ):
         #: state: hard
         self.document = document
-        #: state: soft(derived-from=document?; rebuild=_admit_view)
+        #: state: soft(derived-from=document?; rebuild=register_views)
         self.fragments = FragmentStore(store, cap_bytes=fragment_cap)
         self._plan_cache_size = plan_cache_size  #: state: hard
         self._cache_results = cache_results  #: state: hard
@@ -247,8 +240,7 @@ class MaterializedViewSystem:
         #: state: counter
         self._registrations_total = registry.counter(
             "repro_views_registered_total",
-            "View registrations, by evaluation mode.",
-            ("mode",),
+            "Views added to the catalog by registration.",
         )
         #: state: counter
         self._epoch_swaps_total = registry.counter(
@@ -369,136 +361,69 @@ class MaterializedViewSystem:
     def register_view(self, view_id: str, expression: str | TreePattern) -> bool:
         """Materialize a view; returns False when the 128 KiB cap was hit
         (the view is then excluded from answering, as in the paper)."""
-        if isinstance(expression, TreePattern):
-            view = View(view_id, expression)
-        else:
-            view = View.from_xpath(view_id, expression)
-        with self._mutate_lock:
-            if view.view_id in self._views:
-                raise ValueError(f"duplicate view id {view_id!r}")
-            answers = evaluate(view.pattern, self.document.tree)
-            entries = [
-                (node.dewey, node)
-                for node in answers
-                if node.dewey is not None
-            ]
-            fits = self.fragments.materialize(view_id, entries)
-            # Counted only after _admit_view has invalidated + published
-            # (its raise paths must not sit inside the mutation window).
-            admitted = self._admit_view(view, fits)
-            self._registrations_total.inc(1.0, "serial")
-            return admitted
-
-    def _admit_view(self, view: View, fits: bool) -> bool:
-        """Shared tail of serial and parallel registration: drop stale
-        plans, then stage and publish the next epoch with the view
-        cataloged, its definition persisted and VFILTER extended.
-
-        Invalidation runs *first*: the plan cache only refills through
-        ``answer()``, so one drop covers every mutation of this call,
-        and an exception from persistence or VFILTER extension cannot
-        leave cached plans derived from the pre-registration state
-        (xmvrlint L7).  In-flight readers pinned to the previous epoch
-        are untouched — they never see the half-built successor.
-        """
-        with self._mutate_lock:
-            self._invalidate_plans()
-            epoch = self._epoch
-            views = dict(epoch.views)
-            views[view.view_id] = view
-            self._persist_definition(view)
-            materialized = epoch.materialized
-            vfilter = epoch.vfilter
-            if fits:
-                materialized = materialized + (view,)
-                vfilter = vfilter.with_view(view)
-                if vfilter.delta_count >= _REBUILD_DELTAS:
-                    vfilter = vfilter.collapsed()
-            self._publish(views, materialized, vfilter)
-            return fits
+        return view_id in self.register_views({view_id: expression})
 
     #: state: mutator
     def register_views(
-        self,
-        expressions: dict[str, str | TreePattern],
-        workers: int | None = None,
+        self, expressions: dict[str, str | TreePattern]
     ) -> list[str]:
-        """Register many views; returns the ids that materialized fully.
+        """Register a batch of views; returns the ids that materialized
+        fully, in batch order.
 
-        With ``workers >= 2`` (default: the machine's CPU count, capped
-        by ``REPRO_REGISTER_WORKERS``) and enough views to amortize pool
-        startup, view patterns are evaluated against the base tree in a
-        process pool; the serial path is used otherwise, or when the
-        pool cannot be created (sandboxes without fork support).  Both
-        paths produce byte-identical fragment stores.
+        Every expression is parsed and every id checked against the
+        catalog before anything is evaluated or written, so a bad batch
+        raises with the store untouched.  Plans are then invalidated
+        once, each view is evaluated on the base tree and materialized
+        in turn, and the whole batch is published as one epoch whose
+        VFILTER gains one layer (:meth:`LayeredVFilter.with_views`).
+
+        Invalidation runs *first*: the plan cache only refills through
+        ``answer()``, so one drop covers every mutation of the call
+        (xmvrlint L7).  If a view raises mid-batch, the views before it
+        are already in the store, so the ``finally`` publishes them:
+        the catalog never disagrees with what :meth:`reopen` reads
+        back.  In-flight readers pinned to the previous epoch are
+        untouched — they never see the half-built successor.
         """
-        items = list(expressions.items())
-        if workers is None:
-            workers = default_workers()
+        views = [
+            View(view_id, expression)
+            if isinstance(expression, TreePattern)
+            else View.from_xpath(view_id, expression)
+            for view_id, expression in expressions.items()
+        ]
         with self._mutate_lock:
-            if workers >= 2 and len(items) >= MIN_PARALLEL_VIEWS:
-                prepared = self._prepare_views(items)
-                payload = [
-                    (view.view_id, view.to_xpath()) for view in prepared
-                ]
-                try:
-                    encoded = evaluate_views_parallel(
-                        self.document,
-                        payload,
-                        self.fragments.cap_bytes,
-                        workers,
-                    )
-                except Exception:
-                    # Pool unavailable or died mid-evaluation.  The pool
-                    # work is pure — nothing has been admitted yet — so
-                    # the serial path below starts from a clean slate.
-                    # (The admission loop is deliberately *outside* this
-                    # try: a failure there leaves views registered, and
-                    # retrying serially would double-register them.)
-                    encoded = None
-                if encoded is not None:
-                    return self._admit_encoded(prepared, encoded)
-            return [
-                view_id
-                for view_id, expression in items
-                if self.register_view(view_id, expression)
-            ]
-
-    def _prepare_views(
-        self, items: list[tuple[str, str | TreePattern]]
-    ) -> list[View]:
-        """Parse the batch and reject duplicate ids before any work."""
-        prepared: list[View] = []
-        for view_id, expression in items:
-            if isinstance(expression, TreePattern):
-                view = View(view_id, expression)
-            else:
-                view = View.from_xpath(view_id, expression)
-            if view.view_id in self._views:
-                raise ValueError(f"duplicate view id {view_id!r}")
-            prepared.append(view)
-        return prepared
-
-    def _admit_encoded(
-        self, prepared: list[View], encoded: dict[str, list[bytes] | None]
-    ) -> list[str]:
-        # Invalidate up front: one drop covers the whole batch (the
-        # cache refills only via answer()), and a failure mid-batch
-        # cannot leave plans derived from the pre-registration state
-        # (xmvrlint L1/L7).  Each admission publishes its own epoch, so
-        # a mid-batch failure leaves every fully admitted view visible
-        # and nothing half-registered.
-        with self._mutate_lock:
+            epoch = self._epoch
+            for view in views:
+                if view.view_id in epoch.views:
+                    raise ValueError(f"duplicate view id {view.view_id!r}")
             self._invalidate_plans()
-            registered: list[str] = []
-            for view in prepared:
-                fits = self.fragments.materialize_encoded(
-                    view.view_id, encoded[view.view_id]
+            catalog = dict(epoch.views)
+            admitted: list[View] = []
+            try:
+                for view in views:
+                    answers = evaluate(view.pattern, self.document.tree)
+                    fits = self.fragments.materialize(
+                        view.view_id,
+                        [
+                            (node.dewey, node)
+                            for node in answers
+                            if node.dewey is not None
+                        ],
+                    )
+                    self._persist_definition(view)
+                    catalog[view.view_id] = view
+                    if fits:
+                        admitted.append(view)
+            finally:
+                self._publish(
+                    catalog,
+                    epoch.materialized + tuple(admitted),
+                    epoch.vfilter.with_views(admitted),
                 )
-                if self._admit_view(view, fits):
-                    registered.append(view.view_id)
-            self._registrations_total.inc(float(len(prepared)), "parallel")
-            return registered
+                self._registrations_total.inc(
+                    float(len(catalog) - len(epoch.views))
+                )
+            return [view.view_id for view in admitted]
 
     # ------------------------------------------------------------------
     # persistence
@@ -601,8 +526,7 @@ class MaterializedViewSystem:
     ) -> tuple[int, int]:
         """Drop cached plans after a view-pool or document mutation.
 
-        Called by :meth:`register_view` / :meth:`register_views` (no
-        argument — blanket clear, and the publish that follows retires
+        Called by :meth:`register_views` (no argument — blanket clear, and the publish that follows retires
         the cleared cache wholesale) and by
         :class:`~repro.delta.maintenance.DocumentEditor` on edits, which
         passes the affected view ids so only the plans depending on one
@@ -666,12 +590,6 @@ class MaterializedViewSystem:
             "views": {
                 "registered": len(epoch.views),
                 "materialized": len(epoch.materialized),
-                "registered_parallel": int(
-                    self._registrations_total.value("parallel")
-                ),
-                "registered_serial": int(
-                    self._registrations_total.value("serial")
-                ),
             },
             "plan_cache": plan,
             "vfilter": epoch.vfilter.compiled_stats(),

@@ -14,6 +14,12 @@ Besides the candidate set, filtering returns the paper's ``LIST(P_i)``
 bookkeeping — per query path, the candidate views whose paths contain
 it, sorted by descending view-path length — which drives the heuristic
 selector (Algorithm 2).
+
+The registry publishes a :class:`LayeredVFilter`: an immutable stack of
+:class:`VFilter` layers that each ``register_views`` batch extends by
+one layer (:meth:`LayeredVFilter.with_views`).  As in the paper, a
+view set registered in one batch on an empty system is filtered by one
+automaton built once over the whole set.
 """
 
 from __future__ import annotations
@@ -30,6 +36,12 @@ from .nfa import DEFAULT_COMPILE_BUDGET, AcceptEntry, PathNFA
 from .view import View
 
 __all__ = ["LayeredVFilter", "VFilter", "FilterResult"]
+
+#: Collapse the layered VFILTER back into one monolithic automaton once
+#: this many delta layers have accumulated (bounds per-query filter
+#: overhead at ~K cheap layer probes while keeping registration linear
+#: instead of quadratic).
+_REBUILD_DELTAS = 24
 
 
 @dataclass(slots=True)
@@ -423,17 +435,20 @@ class VFilter:
 
 class LayeredVFilter:
     """An immutable stack of :class:`VFilter` layers: one frozen *base*
-    plus a tuple of single-view *deltas*.
+    plus a tuple of *deltas*, one per registration batch.
 
     The epoch-snapshot design (``core.system``) needs a filter that is
     never mutated after an epoch is published — concurrent readers walk
     the NFA while registrations land — yet cheap to extend: rebuilding a
-    1000-view automaton per ``register_view`` would make bulk loading
-    quadratic.  A layered filter gives both: registering a view wraps
-    the untouched base with one extra single-view layer (an O(|view|)
-    build), and the registration path collapses the stack back into a
-    fresh monolithic base once the delta tuple grows past a threshold,
-    keeping per-query overhead bounded.
+    1000-view automaton per ``register_view`` would make one-by-one
+    loading quadratic.  A layered filter gives both: a registration
+    batch wraps the untouched base with one extra layer holding just
+    the batch (an O(|batch|) build), and :meth:`with_views` collapses
+    the stack back into a fresh monolithic base once the delta tuple
+    grows past a threshold, keeping per-query overhead bounded.  A
+    batch registered on an empty filter becomes the base itself, so a
+    system loaded with one ``register_views`` call filters through a
+    single layer compiled once.
 
     Merging is exact: Algorithm 1's acceptance test is per view (every
     path of ``D(V)`` must contain some query path, judged only against
@@ -465,11 +480,23 @@ class LayeredVFilter:
         base.add_views(views)
         return cls(base)
 
-    def with_view(self, view: View) -> "LayeredVFilter":
-        """A new filter extended by one view; ``self`` is untouched."""
+    def with_views(self, views: list[View]) -> "LayeredVFilter":
+        """A new filter extended by ``views``; ``self`` is untouched.
+
+        The batch becomes one delta layer.  An empty filter is instead
+        rebuilt as a single layer over the batch, and a stack that
+        reaches :data:`_REBUILD_DELTAS` deltas is collapsed.
+        """
+        if not views:
+            return self
+        if self.view_count == 0:
+            return self.build(views, self.attribute_pruning)
         delta = VFilter(attribute_pruning=self.attribute_pruning)
-        delta.add_view(view)
-        return LayeredVFilter(self.base, self.deltas + (delta,))
+        delta.add_views(views)
+        layered = LayeredVFilter(self.base, self.deltas + (delta,))
+        if layered.delta_count >= _REBUILD_DELTAS:
+            return layered.collapsed()
+        return layered
 
     def collapsed(self) -> "LayeredVFilter":
         """Rebuild as a single monolithic layer (same view order)."""

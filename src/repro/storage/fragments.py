@@ -172,25 +172,6 @@ class FragmentStore:
         self._store_payloads(view_id, payloads, total)
         return True
 
-    def materialize_encoded(
-        self, view_id: str, payloads: list[bytes] | None
-    ) -> bool:
-        """Store pre-encoded fragment payloads (the parallel
-        registration path: workers return exactly the bytes
-        :meth:`materialize` would have produced, in code order).
-
-        ``None`` marks the view as capped, mirroring the serial path.
-        """
-        if view_id in self._manifests:
-            raise StorageError(f"view {view_id!r} already materialized")
-        if payloads is None:
-            return self._mark_capped(view_id)
-        total = sum(len(payload) for payload in payloads)
-        if total > self.cap_bytes:
-            return self._mark_capped(view_id)
-        self._store_payloads(view_id, payloads, total)
-        return True
-
     def _mark_capped(self, view_id: str) -> bool:
         self._manifests[view_id] = (0, 0, True)
         # The warm cache is keyed off the manifest; a stale entry here
@@ -213,12 +194,12 @@ class FragmentStore:
     def replace(self, view_id: str, payloads: list[bytes]) -> bool:
         """Swap a view's stored fragments for patched payloads.
 
-        The delta-maintenance counterpart of :meth:`materialize_encoded`
-        for an *already materialized* view: ``payloads`` must be the
-        encoded fragments in packed-code order, exactly as a fresh
-        materialization would lay them out.  Cap accounting matches
-        :meth:`materialize` — False marks the view capped and discards
-        everything.
+        The delta-maintenance counterpart of :meth:`materialize` for an
+        *already materialized* view: ``payloads`` must be the encoded
+        fragments (each ``encode_dewey(code) + encode_fragment(root)``)
+        in packed-code order, exactly the bytes a fresh materialization
+        would store.  Cap accounting matches :meth:`materialize` — False
+        marks the view capped and discards everything.
         """
         self.drop(view_id)
         total = sum(len(payload) for payload in payloads)

@@ -82,7 +82,10 @@ class QueryGenerator:
             closure[label] = result
             return result
 
-        for label in self.schema.labels():
+        # ``reach`` memoises partial results inside label cycles, so the
+        # closure depends on the start order: iterate in sorted order,
+        # not in the hash-seeded order of the frozenset.
+        for label in sorted(self.schema.labels()):
             reach(label, set())
         return {label: tuple(sorted(labels)) for label, labels in closure.items()}
 

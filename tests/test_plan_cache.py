@@ -1,4 +1,4 @@
-"""Plan cache, coverage memo and parallel registration.
+"""Plan cache, coverage memo and batch registration.
 
 The invariants under test:
 
@@ -10,8 +10,9 @@ The invariants under test:
    three operations).
 3. The coverage memo serves repeated (view, query) pairs without
    recomputation and across strategies.
-4. Parallel bulk registration produces a byte-identical fragment store
-   to serial registration.
+4. Batch registration produces a byte-identical fragment store to
+   one-by-one registration, publishes one epoch per batch, and leaves
+   the catalog consistent with the store when a view fails mid-batch.
 """
 
 import random
@@ -255,84 +256,128 @@ def test_interleaved_mutations_match_cold_system(seed):
 
 
 # ----------------------------------------------------------------------
-# Parallel registration
+# Batch registration
 # ----------------------------------------------------------------------
-def test_parallel_registration_matches_serial(monkeypatch):
-    """Force the pool path (2 workers, low threshold) and compare the
-    resulting store byte-for-byte against a serially registered twin."""
-    import repro.core.system as system_module
-
-    monkeypatch.setattr(system_module, "MIN_PARALLEL_VIEWS", 1)
-    views = {
-        "V1": "s[t]/p",
-        "V4": "s[p]/f",
-        "V5": "//s//f",
-        "V6": "b/s[t]",
-    }
-    serial = _twin_system()
-    serial_ids = serial.register_views(dict(views), workers=0)
-
-    parallel = _twin_system()
-    parallel_ids = parallel.register_views(dict(views), workers=2)
-
-    assert parallel_ids == serial_ids
-    for view_id in views:
-        assert parallel.fragments.codes(view_id) == serial.fragments.codes(view_id)
-        assert parallel.fragments.fragment_bytes(
-            view_id
-        ) == serial.fragments.fragment_bytes(view_id)
-    query = "s[f//i][t]/p"
-    assert (
-        parallel.answer(query).codes
-        == serial.answer(query).codes
-        == parallel.direct_codes(query)
-    )
-    assert parallel.stats()["views"]["registered_parallel"] == len(views)
+BATCH_VIEWS = {
+    "V1": "s[t]/p",
+    "V4": "s[p]/f",
+    "V5": "//s//f",
+    "V6": "b/s[t]",
+}
 
 
-def test_register_views_serial_below_threshold():
-    system = _twin_system()
-    system.register_views({"V1": "s[t]/p"}, workers=8)
-    assert system.stats()["views"]["registered_parallel"] == 0
+def _store_contents(system: MaterializedViewSystem) -> dict[bytes, bytes]:
+    store = system.fragments.store
+    return {key: store.get(key) for key in store.keys()}
 
 
-def test_parallel_duplicate_id_raises(monkeypatch):
-    import repro.core.system as system_module
+def test_register_views_matches_one_by_one():
+    """One batch and one call per view leave byte-identical stores,
+    identical fragment codes and identical answers."""
+    single = _twin_system()
+    single_ids = [
+        view_id
+        for view_id, expression in BATCH_VIEWS.items()
+        if single.register_view(view_id, expression)
+    ]
 
-    monkeypatch.setattr(system_module, "MIN_PARALLEL_VIEWS", 1)
+    batch = _twin_system()
+    batch_ids = batch.register_views(dict(BATCH_VIEWS))
+
+    assert batch_ids == single_ids == list(BATCH_VIEWS)
+    assert _store_contents(batch) == _store_contents(single)
+    for view_id in BATCH_VIEWS:
+        assert batch.fragments.codes(view_id) == single.fragments.codes(view_id)
+    for query in ("s[f//i][t]/p", "//s//f", "b/s[t]"):
+        assert (
+            batch.answer(query).codes
+            == single.answer(query).codes
+            == batch.direct_codes(query)
+        )
+    assert batch.stats()["views"]["registered"] == len(BATCH_VIEWS)
+
+
+def test_register_views_duplicate_id_raises_before_any_write():
     system = _twin_system()
     system.register_view("V1", "s[t]/p")
-    with pytest.raises(ValueError):
-        system.register_views({"V1": "s[t]/p", "V2": "s[p]/f"}, workers=2)
+    before = _store_contents(system)
+    seq = system.current_epoch().seq
+    with pytest.raises(ValueError, match="duplicate view id 'V1'"):
+        system.register_views({"V2": "s[p]/f", "V3": "//s//f", "V1": "s[t]/p"})
+    assert _store_contents(system) == before
+    assert system.current_epoch().seq == seq
+    assert list(system._views) == ["V1"]
 
 
-def test_parallel_admission_failure_not_masked(monkeypatch):
-    """Regression: a failure while *admitting* pool-evaluated views
-    (after the pool succeeded) used to be swallowed by the pool-error
-    fallback, which then retried serially against half-registered state
-    and surfaced as a bogus duplicate-id ValueError.  The admission
-    error must propagate as itself, without double registration."""
-    import repro.core.system as system_module
-
-    monkeypatch.setattr(system_module, "MIN_PARALLEL_VIEWS", 1)
+def test_register_views_failure_mid_batch_publishes_earlier_views(monkeypatch):
+    """A materialize that raises mid-batch propagates as itself; the
+    views before it stay cataloged, answerable and persisted, and
+    nothing is registered twice."""
     system = _twin_system()
-
-    real_materialize = system.fragments.materialize_encoded
+    real_materialize = system.fragments.materialize
     calls = {"n": 0}
 
-    def flaky(view_id, encoded):
+    def flaky(view_id, entries):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise RuntimeError("store failed mid-admission")
-        return real_materialize(view_id, encoded)
+            raise RuntimeError("store failed mid-batch")
+        return real_materialize(view_id, entries)
 
-    monkeypatch.setattr(system.fragments, "materialize_encoded", flaky)
-    with pytest.raises(RuntimeError, match="mid-admission"):
-        system.register_views({"V1": "s[t]/p", "V4": "s[p]/f"}, workers=2)
-    # The first view was admitted before the failure; nothing was
-    # registered twice and the serial path never ran.
+    monkeypatch.setattr(system.fragments, "materialize", flaky)
+    seq = system.current_epoch().seq
+    with pytest.raises(RuntimeError, match="mid-batch"):
+        system.register_views({"V1": "s[t]/p", "V4": "s[p]/f", "V5": "//s//f"})
+    assert calls["n"] == 2
+    assert system.current_epoch().seq == seq + 1
     assert list(system._views) == ["V1"]
-    assert system.stats()["views"]["registered_serial"] == 0
+    assert [view.view_id for view in system.materialized_views()] == ["V1"]
+    assert system.answer("s[t]/p").codes == system.direct_codes("s[t]/p")
+    assert system.stats()["views"]["registered"] == 1
+
+    # The catalog agrees with what a reopen reads back from the store.
+    reopened = MaterializedViewSystem.reopen(
+        system.document, system.fragments.store
+    )
+    assert list(reopened._views) == ["V1"]
+
+    # The failed and skipped views can be registered afterwards.
+    monkeypatch.setattr(system.fragments, "materialize", real_materialize)
+    assert system.register_views({"V4": "s[p]/f", "V5": "//s//f"}) == [
+        "V4", "V5",
+    ]
+    assert list(system._views) == ["V1", "V4", "V5"]
+
+
+def test_register_views_publishes_one_epoch_per_batch():
+    system = _twin_system()
+    seq = system.current_epoch().seq
+    system.register_views(dict(BATCH_VIEWS))
+    assert system.current_epoch().seq == seq + 1
+    # A fresh system ends with one VFILTER layer, compiled once.
+    compiled = system.vfilter.compiled_stats()
+    assert compiled["layers"] == 1
+    assert compiled["compiled_layers"] == 1
+
+    # A later batch adds one delta layer and one epoch.
+    system.register_views({"V7": "//s/t", "V8": "//f/i"})
+    assert system.current_epoch().seq == seq + 2
+    assert system.vfilter.compiled_stats()["layers"] == 2
+    for query in ("//s/t", "//f/i", "s[t]/p"):
+        assert system.answer(query).codes == system.direct_codes(query)
+
+
+def test_one_by_one_registration_collapses_filter_layers():
+    """Single registrations on a populated system each add one delta
+    layer; the stack collapses before it reaches the rebuild bound."""
+    from repro.core.vfilter import _REBUILD_DELTAS
+
+    system = _twin_system()
+    system.register_view("V0", "s[t]/p")
+    for index in range(1, _REBUILD_DELTAS + 2):
+        system.register_view(f"V{index}", "//s/p")
+        assert system.vfilter.delta_count < _REBUILD_DELTAS
+    assert system.vfilter.view_count == _REBUILD_DELTAS + 2
+    assert system.answer("//s/p").codes == system.direct_codes("//s/p")
 
 
 def _twin_system() -> MaterializedViewSystem:

@@ -137,3 +137,37 @@ class TestQueryGenerator:
         generator = QueryGenerator(schema, config, seed=0)
         with pytest.raises(RuntimeError):
             generate_positive(generator, tree, 5, max_attempts_factor=2)
+
+
+_GENERATE_VIEWS = """
+from repro.bench import PROCESSING_CONFIG
+from repro.workload import QueryGenerator, generate_positive
+from repro.workload.xmark import generate_xmark_document
+
+document = generate_xmark_document(scale=0.05, seed=42)
+generator = QueryGenerator(document.schema, PROCESSING_CONFIG, seed=42)
+for pattern in generate_positive(generator, document.tree, 50):
+    print(pattern.to_xpath())
+"""
+
+
+def test_generated_views_independent_of_hash_seed():
+    """The descendant closure used to depend on the iteration order of
+    a frozenset of labels, so the same generator seed produced other
+    views under some ``PYTHONHASHSEED`` values (35 among them)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "35"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _GENERATE_VIEWS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 50
+    assert outputs[0] == outputs[1]
