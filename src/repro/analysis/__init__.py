@@ -13,14 +13,15 @@ load-bearing (see DESIGN.md §10 for the catalog):
   :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.dataflow` and
   :mod:`repro.analysis.effects`.  Run it with ``python -m repro lint``
   or the ``xmvrlint`` console script.
-* :mod:`repro.analysis.contracts` — re-export of
-  :mod:`repro.core.contracts`, the opt-in runtime assertions
-  (``XMVR_CHECK=1``, on by default under pytest) checking the paper's
-  guarantees at stage boundaries: document-ordered Dewey output, exact
-  leaf-cover equality of selected view sets, VFILTER soundness, and
-  sampled structural equality of cache-served plans.
+* the runtime half lives below this layer, in
+  :mod:`repro.core.contracts`, because ``core/system.py`` calls it: the
+  opt-in assertions (``XMVR_CHECK=1``, on by default under pytest)
+  checking the paper's guarantees at stage boundaries: document-ordered
+  Dewey output, exact leaf-cover equality of selected view sets,
+  VFILTER soundness, and sampled structural equality of cache-served
+  plans.
 """
 
 from __future__ import annotations
 
-__all__ = ["engine", "rules", "contracts", "lintcli"]
+__all__ = ["engine", "rules", "lintcli"]

@@ -17,10 +17,14 @@ as effect-free.  The resolution ladder, in order:
    (``from ..matching.evaluate import evaluate``).
 3. ``alias.f()`` where ``alias`` is an imported module — function ``f``
    of that module.
-4. ``self.fragments.m()`` — a small table of attribute→class types for
-   the system's well-known collaborators (:data:`ATTR_CLASSES`).
-5. Unique-name fallback — a method name defined by exactly one class in
-   the whole project resolves to it.
+4. ``holder.m()`` on a typed holder: a well-known collaborator name
+   (``self.fragments``, :data:`ATTR_CLASSES`), or a local of the caller
+   or a ``self`` field of its class whose every bind (in any method of
+   the class) calls one project class's constructor or a factory
+   annotated to return it (``self.nfa = PathNFA()``, ``self._swaps =
+   registry.counter(...)``).  A receiver of unknown type resolves to
+   nothing, though one project class defines the method: a guess would
+   draw call and lock edges to code the receiver never reaches.
 
 Layer ranks for rule L9 live here too (:func:`layer_of`): the package
 DAG ``obs → xmltree → xpath → matching → storage → core → {analysis,
@@ -58,6 +62,8 @@ ATTR_CLASSES: dict[str, tuple[str, ...]] = {
     "document": ("EncodedDocument",),
     "schema": ("DocumentSchema",),
     "editor": ("DocumentEditor",),
+    "registry": ("MetricsRegistry",),
+    "compiled": ("CompiledNFA",),
 }
 
 #: Package layer ranks.  A module may import same-package modules and
@@ -113,6 +119,11 @@ class Project:
     class_methods: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     #: method name → fqnames (any class)
     by_method: dict[str, list[str]] = field(default_factory=dict)
+    #: module → class names it defines
+    classes_of: dict[str, set[str]] = field(default_factory=dict)
+    #: (scope, holder) → the project class every bind of the holder
+    #: builds; see :meth:`_scope_of`
+    holder_types: dict[tuple[str, str], str] = field(default_factory=dict)
     #: resolved call graph: caller fqname → ((call site, callee fqname), ...)
     call_edges: dict[str, list[tuple[CallRef, str]]] = field(default_factory=dict)
 
@@ -173,14 +184,22 @@ class Project:
             found = self._function_at(dotted)
             if found is not None:
                 return found
-        # 4. known collaborator attributes: self.fragments.m() etc.
-        holder = chain[-2]
-        for classname in ATTR_CLASSES.get(holder, ()):
+        # 4. typed holders: known collaborators, then typed binds.
+        for classname in ATTR_CLASSES.get(chain[-2], ()):
             found = self._method_on(classname, chain[-1], module)
             if found is not None:
                 return found
-        # 5. unique method name anywhere in the project.
-        return self._unique_method(chain[-1])
+        holder = ".".join(chain[:-1])
+        built = self.holder_types.get((self._scope_of(caller_fq, holder), holder))
+        return None if built is None else self._method_on(built, chain[-1], module)
+
+    def _scope_of(self, fqname: str, holder: str) -> str:
+        """Where the binds of ``holder`` seen from ``fqname`` pool: the
+        class (``module:Class``) for a ``self`` field, else ``fqname``."""
+        function = self.functions.get(fqname)
+        if holder.startswith("self.") and function and function.classname:
+            return f"{self.module_of[fqname]}:{function.classname}"
+        return fqname
 
     def _method_on(
         self, classname: str, method: str, prefer_module: str
@@ -196,6 +215,32 @@ class Project:
     def _unique_method(self, method: str) -> str | None:
         candidates = self.by_method.get(method, [])
         return candidates[0] if len(candidates) == 1 else None
+
+    def _class_named(self, module: str, chain: tuple[str, ...]) -> str | None:
+        """The project class ``chain`` names from ``module`` (defined
+        there or imported), or None."""
+        if len(chain) == 1 and chain[0] in self.classes_of.get(module, ()):
+            return chain[0]
+        target = self.imports_of.get(module, {}).get(chain[0])
+        if target is None:
+            return None
+        head, _, name = ".".join((target,) + chain[1:]).rpartition(".")
+        return name if name in self.classes_of.get(head, ()) else None
+
+    def _built_class(self, fqname: str, producer: tuple[str, ...]) -> str | None:
+        """The project class a ``producer(...)`` call in ``fqname``
+        returns: a constructor, or a factory annotated to return one.
+        None for ``()``, a bind that is not a call."""
+        if not producer:
+            return None
+        built = self._class_named(self.module_of[fqname], producer)
+        if built is not None:
+            return built
+        callee = self.resolve(fqname, CallRef(chain=producer, lineno=0))
+        returns = None if callee is None else self.functions[callee].returns
+        if callee is None or returns is None:
+            return None
+        return self._class_named(self.module_of[callee], (returns,))
 
     def _function_at(self, dotted: str) -> str | None:
         """Resolve ``pkg.module.func`` to a project function by trying
@@ -226,6 +271,30 @@ def _index_functions(
         _index_functions(project, summary, nested)
 
 
+#: Rounds of holder typing: ``b = a.make()`` is typed only once ``a``
+#: is, so each round can type one more link of such a chain.
+_TYPING_ROUNDS = 4
+
+
+def _type_holders(project: Project) -> None:
+    """Fill :attr:`Project.holder_types`.  A holder bound to two
+    classes, or once to anything that builds no project class, drops
+    out.  Each round reads only the previous round's table, so the
+    result does not depend on function order."""
+    for _ in range(_TYPING_ROUNDS):
+        types: dict[tuple[str, str], str | None] = {}
+        for fqname, function in project.functions.items():
+            for step in function.iter_steps():
+                for holder, producer in step.binds:
+                    key = (project._scope_of(fqname, holder), holder)
+                    built = project._built_class(fqname, producer)
+                    types[key] = built if types.get(key, built) == built else None
+        typed = {key: built for key, built in types.items() if built}
+        if typed == project.holder_types:
+            return
+        project.holder_types = typed
+
+
 def build_project(summaries: Mapping[str, FileSummary]) -> Project:
     """Assemble the project model and resolve every call site."""
     project = Project()
@@ -235,8 +304,10 @@ def build_project(summaries: Mapping[str, FileSummary]) -> Project:
         project.imports_of[summary.module] = {
             record.local: record.target for record in summary.imports
         }
+        project.classes_of[summary.module] = set(summary.class_names)
         for function in summary.functions:
             _index_functions(project, summary, function)
+    _type_holders(project)
     for fqname, function in project.functions.items():
         edges: list[tuple[CallRef, str]] = []
         for step in function.iter_steps():

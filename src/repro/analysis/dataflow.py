@@ -190,8 +190,10 @@ class Step:
     calls: tuple[CallRef, ...] = ()
     writes: tuple[WriteRef, ...] = ()
     reads: tuple[ReadRef, ...] = ()
-    #: ``x = f(...)`` bindings: (local name, callee chain) pairs, so L8
-    #: can chase a cache key back to the call that produced it.
+    #: Name/Attribute binds: (dotted target, callee chain) pairs, the
+    #: chain ``()`` unless the value is a call's result (``x = f(...)``,
+    #: ``self.x = f(...)``), so L8 can chase a cache key back to the
+    #: call that produced it and call resolution can type the holder.
     binds: tuple[tuple[str, tuple[str, ...]], ...] = ()
     #: For ``with`` steps: the attribute chain of each plain
     #: Name/Attribute context expression (``with self._lock:`` →
@@ -219,6 +221,9 @@ class FunctionSummary:
     nested: tuple["FunctionSummary", ...] = ()
     reads_state: bool = False
     memoized: bool = False
+    #: The class name a plain return annotation spells (``-> Counter``,
+    #: ``-> "CompiledNFA"``), else None.
+    returns: str | None = None
 
     @property
     def is_public(self) -> bool:
@@ -636,6 +641,7 @@ class _FunctionLowerer:
         calls = self._expr_calls(self._eager_exprs(stmt))
         writes = self._write_targets(stmt)
         reads = self._expr_reads(self._eager_exprs(stmt))
+        binds = _binds(stmt)
         lineno = stmt.lineno
         if isinstance(stmt, ast.Return):
             return Step(
@@ -662,6 +668,7 @@ class _FunctionLowerer:
                 lineno=lineno,
                 calls=calls,
                 reads=reads,
+                binds=binds,
                 body=self.lower_block(stmt.body),
                 orelse=self.lower_block(stmt.orelse),
             )
@@ -677,6 +684,7 @@ class _FunctionLowerer:
                 lineno=lineno,
                 calls=calls,
                 reads=reads,
+                binds=binds,
                 contexts=tuple(contexts),
                 body=self.lower_block(stmt.body),
             )
@@ -693,17 +701,6 @@ class _FunctionLowerer:
                 ),
                 final=self.lower_block(stmt.finalbody),
             )
-        binds: tuple[tuple[str, tuple[str, ...]], ...] = ()
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)
-            and isinstance(stmt.value.func, (ast.Name, ast.Attribute))
-        ):
-            chain = attr_chain(stmt.value.func)
-            if chain is not None:
-                binds = ((stmt.targets[0].id, chain),)
         return Step(
             kind="simple",
             lineno=lineno,
@@ -712,6 +709,33 @@ class _FunctionLowerer:
             reads=reads,
             binds=binds,
         )
+
+
+def _binds(stmt: ast.stmt) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """What ``stmt`` binds (see :attr:`Step.binds`): assignment, loop
+    and ``with`` targets; unpacked elements never carry a chain."""
+    targets: list[ast.expr] = []
+    value: ast.expr | None = None
+    if isinstance(stmt, ast.Assign):
+        targets, value = stmt.targets, stmt.value
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        targets, value = [stmt.target], stmt.value
+    elif isinstance(stmt, (ast.AugAssign, ast.For, ast.AsyncFor)):
+        targets = [stmt.target]
+    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+        targets = [item.optional_vars for item in stmt.items if item.optional_vars]
+    chain = attr_chain(value.func) if isinstance(value, ast.Call) else None
+    stack = [(target, chain or ()) for target in targets]
+    binds: list[tuple[str, tuple[str, ...]]] = []
+    while stack:
+        target, source = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend((element, ()) for element in target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append((target.value, ()))
+        elif (dotted := attr_chain(target)) is not None:
+            binds.append((".".join(dotted), source))
+    return tuple(binds)
 
 
 def _decorator_names(
@@ -795,7 +819,18 @@ def _summarize_function(
         nested=tuple(nested),
         reads_state=_reads_state(function),
         memoized=bool(_MEMO_DECORATORS & set(decorators)),
+        returns=_annotated_class(function.returns),
     )
+
+
+def _annotated_class(annotation: ast.expr | None) -> str | None:
+    """The class a plain return annotation names (``Counter``,
+    ``"CompiledNFA"``); None for anything else."""
+    if isinstance(annotation, ast.Constant):
+        value = annotation.value
+        return value if isinstance(value, str) and value.isidentifier() else None
+    chain = attr_chain(annotation) if annotation is not None else None
+    return chain[-1] if chain else None
 
 
 def _is_directly_nested(
@@ -1232,13 +1267,6 @@ def state_call(call: CallRef, allow_any_receiver: bool = True) -> bool:
         if holder == "_materialized" and call.name in LIST_METHODS:
             return True
     return False
-
-
-def step_mutates_state(step: Step) -> bool:
-    """This single step writes answering state (writes or calls)."""
-    if state_writes(step):
-        return True
-    return any(state_call(call) for call in step.calls)
 
 
 # ======================================================================

@@ -81,7 +81,7 @@ EXIT_ERROR = 2
 
 #: Bump when the cached record layout or any analysis changes shape —
 #: stale cache entries are then simply misses.
-LINT_CACHE_VERSION = 3
+LINT_CACHE_VERSION = 4
 
 #: Fix tag understood by :func:`apply_return_none_fixes`.
 FIX_RETURN_NONE = "add-return-none"

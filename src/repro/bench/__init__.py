@@ -7,7 +7,7 @@ from .harness import (
     build_environment,
     build_view_patterns,
 )
-from .report import format_bytes, format_seconds, format_table, print_table
+from .report import format_bytes, format_seconds, format_table
 from .workloads import SEED_VIEWS, TABLE_I_QUERY, TABLE_I_VIEWS, TEST_QUERIES
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "format_bytes",
     "format_seconds",
     "format_table",
-    "print_table",
 ]

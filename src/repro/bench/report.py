@@ -1,57 +1,18 @@
-"""Plain-text tables and run provenance for benchmark output.
+"""Plain-text tables for benchmark output.
 
 Each ``benchmarks/bench_fig*.py`` prints the same rows/series the
 paper's figure reports; these helpers keep the formatting uniform.
-:func:`run_metadata` stamps the ``BENCH_*.json`` reports with enough
-provenance (git SHA, timestamp, interpreter, host) to tell two runs
-apart months later.
 """
 
 from __future__ import annotations
 
-import platform
-import subprocess
-import sys
-import time
 from typing import Sequence
 
 __all__ = [
     "format_table",
-    "print_table",
     "format_seconds",
     "format_bytes",
-    "run_metadata",
 ]
-
-
-def _git_revision() -> str:
-    """``<sha>[-dirty]`` of the working tree, or ``"unknown"`` outside
-    a checkout (results dirs unpacked from a tarball, CI caches)."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return f"{sha}-dirty" if dirty else sha
-
-
-def run_metadata() -> dict[str, str]:
-    """Provenance block for a ``BENCH_*.json`` report."""
-    return {
-        "git_sha": _git_revision(),
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%S%z", time.localtime()
-        ),
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-    }
 
 
 def format_seconds(seconds: float) -> str:
@@ -96,10 +57,3 @@ def format_table(
             )
         )
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
-) -> None:
-    print()
-    print(format_table(headers, rows, title))

@@ -56,7 +56,7 @@ from ..xmltree.dewey import (
 from ..xmltree.tree import XMLNode
 from .delta import SubtreeDelta
 from .patcher import FragmentPatcher
-from .resolver import AffectedViews, resolve_affected
+from .resolver import AffectedViews, ViewImpact, resolve_affected
 
 __all__ = ["MaintenanceReport", "ViewMaintenance", "DocumentEditor"]
 
@@ -227,15 +227,20 @@ class DocumentEditor:
     def _insert_full(
         self, parent: XMLNode, subtree: XMLNode
     ) -> MaintenanceReport:
-        """Schema-violating insert: re-encode everything, rebuild all."""
-        size = subtree.subtree_size()
+        """Schema-violating insert: re-encode everything, rebuild all
+        (every code changed, so nothing is patchable)."""
+        delta = SubtreeDelta.for_insert(parent, subtree)
         parent.add_child(subtree)
         try:
             self._full_reencode()
         except BaseException:
             self._invalidate_document()
             raise
-        report = self._rebuild_all("insert", size)
+        rebuild = tuple(
+            ViewImpact(view, "rebuild", False, "full-reencode")
+            for view in self.system.materialized_views()
+        )
+        report = self._apply_impacts(delta, AffectedViews(rebuild, ()))
         report.full_reencode = True
         return report
 
@@ -385,43 +390,6 @@ class DocumentEditor:
         self._stage_hist.observe(
             self._clock.monotonic() - started, "base_patch"
         )
-
-    def _rebuild_all(
-        self, operation: str, changed_nodes: int
-    ) -> MaintenanceReport:
-        """Blanket fallback: re-materialize every view (full re-encode
-        changed every code, so nothing is patchable)."""
-        system = self.system
-        system._invalidate_plans()
-        report = MaintenanceReport(operation, changed_nodes)
-        capped: list[str] = []
-        for view in list(system.materialized_views()):
-            report.affected_views.append(view.view_id)
-            system._memo.evict_views([view.view_id])
-            started = self._clock.monotonic()
-            system.fragments.drop(view.view_id)
-            try:
-                answers = evaluate(view.pattern, system.document.tree)
-                fits = system.fragments.materialize(
-                    view.view_id,
-                    [(n.dewey, n) for n in answers if n.dewey is not None],
-                )
-            except BaseException:
-                self._evict_views([view.view_id])
-                raise
-            elapsed = self._clock.monotonic() - started
-            report.views.append(
-                ViewMaintenance(
-                    view.view_id, "rebuilt", "full-reencode", False, elapsed
-                )
-            )
-            self._views_total.inc(1.0, "rebuilt")
-            self._stage_hist.observe(elapsed, "rebuild")
-            if not fits:
-                capped.append(view.view_id)
-        if capped:
-            self._evict_views(capped)
-        return report
 
     # ------------------------------------------------------------------
     # encoding internals (unchanged from the pre-delta editor)

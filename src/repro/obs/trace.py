@@ -134,10 +134,6 @@ class Trace:
         finally:
             _CURRENT_TRACE.reset(token)
 
-    def span_dicts(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [span.as_dict() for span in self.spans]
-
     def span_tree(self) -> list[dict[str, Any]]:
         """Spans re-nested by parent id (roots first, children under
         a ``children`` key), for the slow log and ``repro slowlog``."""

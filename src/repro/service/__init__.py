@@ -9,8 +9,8 @@ Stacks four layers on top of :class:`repro.core.system.MaterializedViewSystem`:
   per-request deadlines and single-flight request coalescing;
 * :mod:`repro.service.protocol` / :mod:`repro.service.server` — a
   stdlib-only HTTP/JSON front end (``python -m repro serve``);
-* :mod:`repro.service.loadgen` — closed- and open-loop load drivers
-  for the throughput benchmark.
+* :mod:`repro.service.loadgen` — the closed-loop HTTP load driver
+  behind ``python -m repro serve --smoke``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from __future__ import annotations
 from .engine import SnapshotEngine
 from .loadgen import (
     HTTPClient,
-    InProcessClient,
     LoadReport,
     build_query_mix,
     run_closed_loop,
-    run_open_loop,
     zipf_weights,
 )
 from .protocol import ProtocolError, encode_outcome, error_payload
@@ -37,7 +35,6 @@ __all__ = [
     "AdmissionRejectedError",
     "DeadlineExceededError",
     "HTTPClient",
-    "InProcessClient",
     "LoadReport",
     "ProtocolError",
     "QueryScheduler",
@@ -47,6 +44,5 @@ __all__ = [
     "encode_outcome",
     "error_payload",
     "run_closed_loop",
-    "run_open_loop",
     "zipf_weights",
 ]

@@ -1,19 +1,12 @@
-"""Load drivers for the query service.
+"""Load driver for the query service (what ``repro serve --smoke`` runs).
 
-Two client shapes and two loop disciplines:
-
-* :class:`InProcessClient` submits straight to a
-  :class:`~repro.service.scheduler.QueryScheduler` (no sockets — what
-  the throughput benchmark uses); :class:`HTTPClient` speaks the real
-  wire protocol over ``http.client`` (what the CLI smoke test uses).
-  Both report plain HTTP status codes, failures mapped through
-  :func:`repro.service.protocol.error_payload`, so reports are
-  comparable across transports.
+* :class:`HTTPClient` speaks the real wire protocol over
+  ``http.client`` and reports plain HTTP status codes (599 for a
+  dropped connection).
 * :func:`run_closed_loop` keeps ``concurrency`` workers each issuing
   the next request as soon as the previous answer lands (throughput at
-  full utilisation); :func:`run_open_loop` fires requests on a fixed
-  Poisson-less arrival schedule regardless of completion (latency
-  under a target offered load, queueing time included).
+  full utilisation).  Any object with :class:`ServiceClient`'s
+  ``query`` method can stand in for the HTTP client.
 
 Query mixes come from the system's own materialized views
 (:func:`build_query_mix`), weighted uniformly or by a Zipf law
@@ -32,16 +25,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence
 
 from ..core.system import MaterializedViewSystem
-from .protocol import error_payload
-from .scheduler import QueryScheduler
 
 __all__ = [
     "HTTPClient",
-    "InProcessClient",
     "LoadReport",
     "build_query_mix",
     "run_closed_loop",
-    "run_open_loop",
     "zipf_weights",
 ]
 
@@ -91,41 +80,10 @@ class LoadReport:
         )
         return ordered[index]
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "status_counts": {
-                str(status): count
-                for status, count in sorted(self.status_counts.items())
-            },
-            "elapsed_seconds": self.elapsed_seconds,
-            "throughput_qps": self.throughput,
-            "p50_ms": self.percentile(0.50),
-            "p99_ms": self.percentile(0.99),
-        }
-
     def merge(self, status: int, latency_ms: float) -> None:
         self.requests += 1
         self.status_counts[status] = self.status_counts.get(status, 0) + 1
         self.latencies_ms.append(latency_ms)
-
-
-class InProcessClient:
-    """Straight to the scheduler — measures the service minus HTTP."""
-
-    def __init__(self, scheduler: QueryScheduler) -> None:
-        self._scheduler = scheduler
-
-    def query(
-        self, expression: str, strategy: str = "HV",
-        timeout: float | None = None,
-    ) -> int:
-        try:
-            self._scheduler.submit(expression, strategy, timeout=timeout)
-        except BaseException as error:
-            return error_payload(error)[0]
-        return 200
 
 
 class HTTPClient:
@@ -256,62 +214,6 @@ def run_closed_loop(
     started = time.perf_counter()
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
-
-
-def run_open_loop(
-    client_factory: Callable[[], ServiceClient],
-    queries: Sequence[str],
-    rate: float,
-    duration: float,
-    weights: Sequence[float] | None = None,
-    seed: int = 0,
-    strategy: str = "HV",
-    timeout: float | None = None,
-    max_outstanding: int = 256,
-) -> LoadReport:
-    """Fire requests at ``rate``/s for ``duration`` seconds regardless
-    of completions; latency includes time spent queued behind slow
-    answers.  ``max_outstanding`` caps runaway thread growth when the
-    service cannot keep up (drops are recorded as status 503)."""
-    if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be positive")
-    cumulative = _cumulative(weights)
-    rng = random.Random(seed)
-    report = LoadReport()
-    report_lock = threading.Lock()
-    outstanding = threading.Semaphore(max_outstanding)
-    threads: list[threading.Thread] = []
-
-    def fire(expression: str, scheduled: float) -> None:
-        client = client_factory()
-        status = client.query(expression, strategy, timeout=timeout)
-        latency_ms = (time.perf_counter() - scheduled) * 1e3
-        with report_lock:
-            report.merge(status, latency_ms)
-        outstanding.release()
-
-    interval = 1.0 / rate
-    started = time.perf_counter()
-    next_at = started
-    while next_at - started < duration:
-        delay = next_at - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        expression = _draw(rng, queries, cumulative)
-        if outstanding.acquire(blocking=False):
-            thread = threading.Thread(
-                target=fire, args=(expression, next_at), daemon=True
-            )
-            thread.start()
-            threads.append(thread)
-        else:
-            with report_lock:
-                report.merge(503, 0.0)
-        next_at += interval
     for thread in threads:
         thread.join()
     report.elapsed_seconds = time.perf_counter() - started

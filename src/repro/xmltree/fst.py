@@ -99,10 +99,6 @@ class FiniteStateTransducer:
         """Return just the label of the node encoded by ``code``."""
         return self.decode(code)[-1]
 
-    def label_of_packed(self, packed: PackedCode) -> str:
-        """Return just the label of the node encoded by ``packed``."""
-        return self.decode_packed(packed)[-1]
-
     def clear_cache(self) -> None:
         """Drop the decode cache (e.g. after switching documents)."""
         self._cache.clear()

@@ -7,10 +7,12 @@ import random
 
 import pytest
 
-# Runtime contract checks (repro.analysis.contracts) are on for the
+# Runtime contract checks (repro.core.contracts) are on for the
 # whole suite unless a test or the environment says otherwise.
 os.environ.setdefault("XMVR_CHECK", "1")
 
+from repro.bench import build_environment
+from repro.core.system import MaterializedViewSystem
 from repro.xmltree import DocumentSchema, XMLNode, XMLTree, build_tree, encode_tree
 from repro.xpath.ast import Axis
 from repro.xpath.pattern import PatternNode, TreePattern
@@ -48,6 +50,18 @@ def book_schema() -> DocumentSchema:
 @pytest.fixture
 def book_doc(book_tree, book_schema):
     return encode_tree(book_tree, book_schema)
+
+
+def xmark_twin(**kwargs) -> MaterializedViewSystem:
+    """A fresh system over the shared small XMark bench document (seed
+    views plus 24 generated ones, registered in one batch).  Answering
+    is fine; editing would corrupt the shared document."""
+    env = build_environment(scale=0.15, view_count=24, seed=42)
+    system = MaterializedViewSystem(env.document, **kwargs)
+    system.register_views(
+        {view.view_id: view.pattern for view in env.system.materialized_views()}
+    )
+    return system
 
 
 def random_tree(rng: random.Random, max_nodes: int = 40, max_depth: int = 6) -> XMLTree:

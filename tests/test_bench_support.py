@@ -124,28 +124,3 @@ class TestErrorHierarchy:
     def test_unanswerable_defaults_empty_uncovered(self):
         error = ViewNotAnswerableError("nope")
         assert error.uncovered == frozenset()
-
-
-class TestRunMetadata:
-    """BENCH_*.json stamping (repro.bench.report.run_metadata)."""
-
-    def test_metadata_keys_and_shapes(self):
-        from repro.bench.report import run_metadata
-
-        metadata = run_metadata()
-        assert set(metadata) == {
-            "git_sha", "timestamp", "python", "implementation", "platform",
-        }
-        assert all(isinstance(value, str) for value in metadata.values())
-        # ISO-8601 local timestamp: 2026-08-08T12:34:56+0000
-        assert metadata["timestamp"][4] == "-"
-        assert metadata["timestamp"][10] == "T"
-        assert metadata["python"].count(".") == 2
-
-    def test_git_sha_resolves_in_this_repo(self):
-        from repro.bench.report import _git_revision
-
-        revision = _git_revision()
-        # The repo under test is a git checkout; outside one the helper
-        # degrades to the sentinel rather than raising.
-        assert revision == "unknown" or len(revision.split("-")[0]) == 40

@@ -1,4 +1,4 @@
-"""Runtime contract layer (repro.analysis.contracts).
+"""Runtime contract layer (repro.core.contracts).
 
 Three angles:
 
@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_pattern, random_tree
-from repro.analysis import contracts
-from repro.analysis.contracts import ContractViolation
+from repro.core import contracts
+from repro.core.contracts import ContractViolation
 from repro.delta.maintenance import DocumentEditor
 from repro.core.selection import Selection
 from repro.core.system import MaterializedViewSystem

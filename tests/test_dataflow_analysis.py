@@ -10,6 +10,7 @@ import pickle
 import textwrap
 
 from repro.analysis.callgraph import build_project, layer_of
+from repro.analysis.concurrency import analyze_concurrency
 from repro.analysis.dataflow import (
     attr_chain,
     fresh_locals,
@@ -237,6 +238,96 @@ def test_unresolved_external_calls_have_no_edges():
         }
     )
     assert list(project.callees("core.system:run")) == []
+
+
+POOL_PROJECT = {
+    "core/pool.py": """
+        import threading
+
+        class Pool:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def submit(self, job):
+                with self._lock:
+                    return job
+
+            def clone(self) -> "Pool":
+                return Pool()
+
+        def make_pool() -> "Pool":
+            return Pool()
+    """,
+}
+
+
+def _owner_project(body: str):
+    owner = textwrap.dedent(
+        """
+        import threading
+        from core.pool import Pool, make_pool
+
+        class Owner:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.built = Pool()
+                self.made = make_pool()
+                self.swapped = Pool()
+
+            def swap(self, pool):
+                self.swapped = pool
+
+            def run(self, pool, job):
+                with self._lock:
+        """
+    )
+    return _project(
+        {**POOL_PROJECT, "core/owner.py": owner + textwrap.indent(body, " " * 12)}
+    )
+
+
+def _lock_edges(project):
+    facts = analyze_concurrency(project)
+    return {
+        (f"{a[0]}.{a[1]}", f"{b[0]}.{b[1]}") for a, b in facts.edges
+    }
+
+
+def test_untyped_receiver_does_not_resolve_by_method_name():
+    # ``pool`` is a parameter of unknown type: that Pool is the only
+    # project class defining ``submit`` says nothing about the receiver.
+    project = _owner_project("return pool.submit(job)")
+    assert list(project.callees("core.owner:Owner.run")) == []
+    assert ("Owner._lock", "Pool._lock") not in _lock_edges(project)
+
+
+def test_resolve_holders_built_by_project_constructors():
+    for body in (
+        "return self.built.submit(job)",  # field: constructor in __init__
+        "return self.made.submit(job)",  # field: annotated factory
+        "local = Pool()\nreturn local.submit(job)",  # local: constructor
+        # local: a factory method on a typed holder
+        "first = Pool()\nlocal = first.clone()\nreturn local.submit(job)",
+    ):
+        project = _owner_project(body)
+        callees = {callee for _, callee in project.callees("core.owner:Owner.run")}
+        assert "core.pool:Pool.submit" in callees, body
+        assert ("Owner._lock", "Pool._lock") in _lock_edges(project), body
+
+
+def test_rebound_holder_is_not_typed():
+    for body in (
+        "local = Pool()\nlocal = pool.clone()\nreturn local.submit(job)",
+        "local = Pool()\nlocal = pool\nreturn local.submit(job)",
+        "local = Pool()\nlocal = self.built\nreturn local.submit(job)",
+        "local = Pool()\nfor local in pool:\n    pass\nreturn local.submit(job)",
+        "local = Pool()\nwith pool as local:\n    return local.submit(job)",
+        # rebound to a parameter in another method of the class
+        "return self.swapped.submit(job)",
+    ):
+        project = _owner_project(body)
+        callees = {callee for _, callee in project.callees("core.owner:Owner.run")}
+        assert "core.pool:Pool.submit" not in callees, body
 
 
 # ----------------------------------------------------------------------

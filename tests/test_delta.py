@@ -31,9 +31,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MaterializedViewSystem, encode_tree
+from repro.bench import PROCESSING_CONFIG, SEED_VIEWS, TEST_QUERIES
 from repro.delta import DocumentEditor, SubtreeDelta, resolve_affected
+from repro.delta import maintenance, patcher
 from repro.matching import evaluate
+from repro.service import zipf_weights
 from repro.service.engine import SnapshotEngine
+from repro.workload.querygen import (
+    QueryGenConfig,
+    QueryGenerator,
+    generate_positive,
+)
+from repro.workload.xmark import generate_xmark_document
 from repro.storage.serialize import encode_dewey, encode_fragment
 from repro.xmltree import XMLNode, build_tree
 
@@ -212,6 +221,8 @@ class TestPatcher:
         editor = DocumentEditor(system)
         before = _stored_payloads(system, "VT")
         report = editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
+        assert not report.full_reencode
+        assert _view_modes(report) == {"VP": "patched"}
         assert "VT" in report.skipped_views
         assert _stored_payloads(system, "VT") == before
 
@@ -354,6 +365,119 @@ def test_maintenance_stats_surface_in_system_stats():
     assert maintenance["repro_maintenance_total"]["insert"] == 1.0
     assert maintenance["repro_maintenance_ops_total"]["insert|delta"] == 1.0
     assert maintenance["repro_maintenance_views_total"]["patched"] == 1.0
+    editor.delete_subtree(system.direct_codes("//s/p")[0])
+    maintenance = system.stats()["maintenance"]
+    assert maintenance["repro_maintenance_ops_total"]["delete|delta"] == 1.0
+    assert maintenance["repro_maintenance_ops_total"]["insert|delta"] == 1.0
+    assert maintenance["repro_maintenance_views_total"]["patched"] == 2.0
+
+
+# ----------------------------------------------------------------------
+# mixed read/write traffic on an XMark document
+# ----------------------------------------------------------------------
+def _xmark_system(
+    view_count: int,
+    config: QueryGenConfig = PROCESSING_CONFIG,
+    seed_views: bool = True,
+) -> MaterializedViewSystem:
+    """A fresh system over its own document: edits mutate the tree, so
+    the shared bench environment must never be used here."""
+    document = generate_xmark_document(scale=0.3, seed=42)
+    system = MaterializedViewSystem(document)
+    if seed_views:
+        system.register_views(dict(SEED_VIEWS))
+    generator = QueryGenerator(document.schema, config, seed=42)
+    patterns = generate_positive(generator, document.tree, view_count)
+    system.register_views(
+        {f"G{index}": pattern for index, pattern in enumerate(patterns)}
+    )
+    return system
+
+
+def _run_mixed(write_share: float, ops: int = 200) -> dict[str, float]:
+    """Warm a 40-query zipf pool, then run ``ops`` operations of which
+    ``write_share`` are schema-admitted insert/delete edits."""
+    system = _xmark_system(view_count=30)
+    editor = DocumentEditor(system)
+    pool = [expression for expression, _ in TEST_QUERIES.values()]
+    views = system.materialized_views()
+    random.Random(42).shuffle(views)
+    pool += [v.to_xpath() for v in views if v.to_xpath() not in pool]
+    pool = pool[:40]
+    for expression in pool:
+        system.answer(expression)
+    rng = random.Random(43)
+    weights = zipf_weights(len(pool))
+    hits_before = system.stats()["plan_cache"]["hits"]
+    reads = writes = full_reencodes = 0
+    for _ in range(ops):
+        if rng.random() >= write_share:
+            system.answer(rng.choices(pool, weights=weights)[0])
+            reads += 1
+            continue
+        # A random walk biased deep keeps victims small.
+        parent = system.document.tree.root
+        node = rng.choice(parent.children)
+        while node.children and rng.random() < 0.85:
+            parent, node = node, rng.choice(node.children)
+        if writes % 2 == 0:
+            # A label the parent already has a child of: schema-admitted.
+            report = editor.insert_subtree(parent.dewey, XMLNode(node.label))
+        else:
+            report = editor.delete_subtree(node.dewey)
+        writes += 1
+        full_reencodes += int(report.full_reencode)
+    cache = system.stats()["plan_cache"]
+    return {
+        "hit_rate": (cache["hits"] - hits_before) / reads,
+        "writes": writes,
+        "full_reencodes": full_reencodes,
+        "scoped_invalidations": cache["scoped_invalidations"],
+    }
+
+
+def test_sparse_writes_stay_scoped_and_keep_plans_warm():
+    cells = {share: _run_mixed(share) for share in (0.0, 0.01, 0.10)}
+    for share, cell in cells.items():
+        assert cell["full_reencodes"] == 0, (share, cell)
+        assert cell["scoped_invalidations"] >= cell["writes"], (share, cell)
+        if share > 0:
+            assert cell["writes"] > 0, (share, cell)
+    # Scoped invalidation keeps at least half the read-only hit rate
+    # at 1% writes (a blanket clear per edit would crater it).
+    assert cells[0.01]["hit_rate"] >= 0.5 * cells[0.0]["hit_rate"]
+
+
+def test_path_view_edits_never_reevaluate_over_the_whole_tree(monkeypatch):
+    linear = QueryGenConfig(
+        max_depth=4, prob_wild=0.2, prob_desc=0.2, num_pred=0, num_nestedpath=0
+    )
+    system = _xmark_system(view_count=30, config=linear, seed_views=False)
+    system.register_view("Pcat", "//category/name")
+    system.answer("//category/name")
+    editor = DocumentEditor(system)
+    document_size = len(list(system.document.tree.iter_nodes()))
+
+    def no_rebuild(*args):
+        raise AssertionError("a path view was rebuilt over the whole tree")
+
+    universes: list[int] = []
+    real_evaluate = patcher.evaluate
+
+    def scoped_evaluate(pattern, tree, universe):
+        universes.append(len(universe))
+        return real_evaluate(pattern, tree, universe)
+
+    monkeypatch.setattr(maintenance, "evaluate", no_rebuild)
+    monkeypatch.setattr(patcher, "evaluate", scoped_evaluate)
+    anchors = system.direct_codes("//category")
+    for anchor in anchors[:5]:
+        report = editor.insert_subtree(anchor, XMLNode("name", text="edit"))
+        assert not report.full_reencode
+        assert report.views and all(v.mode == "patched" for v in report.views)
+        assert "Pcat" in report.affected_views
+    # Splices evaluate over the edited subtree and its ancestors only.
+    assert universes and max(universes) < document_size // 10
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,14 @@ Violating any of these would silently reorder answers or corrupt range
 scans, so they are pinned here with Hypothesis.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
+from repro.core.system import MaterializedViewSystem
+from repro.delta import DocumentEditor
 from repro.errors import EncodingError
+from repro.xmltree import XMLNode, encode_tree
 from repro.xmltree.dewey import (
     compare_codes,
     descendant_range_key,
@@ -29,6 +34,8 @@ from repro.xmltree.dewey import (
     packed_prefixes,
     unpack_code,
 )
+
+from conftest import LABELS, random_tree, xmark_twin
 
 # Components straddle every packing regime: single-byte (< 0x80),
 # multi-byte headers, and byte-boundary neighbours.
@@ -141,3 +148,32 @@ def test_empty_code_descendant_range_rejected():
         pass
     else:  # pragma: no cover - failure branch
         raise AssertionError("empty prefix has no descendant range")
+
+
+def _assert_lockstep(tree) -> int:
+    checked = 0
+    for node in tree.iter_nodes():
+        assert node.dewey is not None and node.dewey_packed is not None
+        assert node.dewey_packed == pack_code(node.dewey), node.dewey
+        checked += 1
+    return checked
+
+
+def test_encoded_xmark_document_packs_every_code_in_lockstep():
+    assert _assert_lockstep(xmark_twin().document.tree) > 500
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**9))
+def test_delta_encoded_inserts_pack_codes_in_lockstep(seed):
+    # Inserts on the delta path assign codes outside encode_tree; the
+    # packed key must still track the tuple code on every node.
+    rng = random.Random(seed)
+    system = MaterializedViewSystem(encode_tree(random_tree(rng, max_nodes=20)))
+    editor = DocumentEditor(system)
+    for _ in range(4):
+        parent = rng.choice(list(system.document.tree.iter_nodes()))
+        child = XMLNode(rng.choice(LABELS))
+        child.new_child(rng.choice(LABELS))
+        editor.insert_subtree(parent.dewey, child)
+        _assert_lockstep(system.document.tree)

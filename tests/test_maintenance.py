@@ -146,9 +146,16 @@ class TestDelete:
         system = _book_system()
         editor = DocumentEditor(system)
         system.answer_bn("//s/p")  # build BN
+        node_index = system._node_index
+        assert node_index is not None
+        section = system.direct_codes("//s")[0]
+        editor.insert_subtree(section, XMLNode("p"))
         target = system.direct_codes("//s/p")[0]
         editor.delete_subtree(target)
+        # Both edits patched the index in place: never nulled, never rebuilt.
+        assert system._node_index is node_index
         truth = system.direct_codes("//s/p")
+        assert len(truth) == 2
         assert system.answer_bn("//s/p").codes == truth
         assert system.answer_bf("//s/p").codes == truth
 

@@ -21,12 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import MaterializedViewSystem, ViewNotAnswerableError, encode_tree, parse_xml
+from repro.bench import TEST_QUERIES
 from repro.delta.maintenance import DocumentEditor
 from repro.core.plancache import PlanCache, PlanEntry
+from repro.service import build_query_mix, zipf_weights
 from repro.xmltree.tree import XMLNode
 from repro.xpath.parser import parse_xpath
 
-from conftest import random_pattern, random_tree
+from conftest import random_pattern, random_tree, xmark_twin
 
 BOOK_XML = """
 <b>
@@ -358,10 +360,14 @@ def test_register_views_publishes_one_epoch_per_batch():
     assert compiled["layers"] == 1
     assert compiled["compiled_layers"] == 1
 
-    # A later batch adds one delta layer and one epoch.
+    # A later batch adds one delta layer and one epoch; publish
+    # compiles every layer.
     system.register_views({"V7": "//s/t", "V8": "//f/i"})
     assert system.current_epoch().seq == seq + 2
-    assert system.vfilter.compiled_stats()["layers"] == 2
+    compiled = system.vfilter.compiled_stats()
+    assert compiled["layers"] == 2
+    assert compiled["compiled_layers"] == compiled["layers"]
+    assert compiled["dfa_rows"] > 0
     for query in ("//s/t", "//f/i", "s[t]/p"):
         assert system.answer(query).codes == system.direct_codes(query)
 
@@ -378,6 +384,63 @@ def test_one_by_one_registration_collapses_filter_layers():
         assert system.vfilter.delta_count < _REBUILD_DELTAS
     assert system.vfilter.view_count == _REBUILD_DELTAS + 2
     assert system.answer("//s/p").codes == system.direct_codes("//s/p")
+
+
+# ----------------------------------------------------------------------
+# The serving paths on an XMark document
+# ----------------------------------------------------------------------
+#: Derivation stages only a plan-cache miss runs (``vfilter`` through
+#: the three rewrite sub-stages).
+DERIVATION_STAGES = ("vfilter", "cover", "selection", "refine", "join", "extract")
+
+
+def _stage_counts(system: MaterializedViewSystem) -> dict[str, int]:
+    return {
+        stage: system._stage_hist.view(stage).count
+        for stage in DERIVATION_STAGES
+    }
+
+
+def test_cold_answers_read_the_compiled_filter():
+    system = xmark_twin(plan_cache_size=0)
+    compiled = system.vfilter.compiled_stats()
+    assert compiled["compiled_layers"] == compiled["layers"] == 1
+    assert compiled["dfa_rows"] > 0
+    queries = build_query_mix(system, limit=12)
+    for expression in queries:
+        outcome = system.answer(expression)
+        assert not outcome.plan_cache_hit
+        assert outcome.codes == system.direct_codes(expression), expression
+    compiled = system.vfilter.compiled_stats()
+    assert compiled["reads_compiled"] >= len(queries)
+    # No cold answer fell back to NFA set simulation.
+    assert compiled["reads_simulated"] == 0
+
+
+def test_skewed_replay_hits_the_plan_cache_and_skips_derivation():
+    system = xmark_twin()
+    pool = [expression for expression, _ in TEST_QUERIES.values()]
+    pool += [e for e in build_query_mix(system) if e not in pool][:8]
+    cold: dict[str, list] = {}
+    for expression in pool:
+        outcome = system.answer(expression)
+        assert not outcome.plan_cache_hit
+        assert outcome.codes == system.direct_codes(expression), expression
+        cold[expression] = outcome.codes
+    derived = _stage_counts(system)
+    assert all(derived.values()), derived
+    computed = system._memo.computed
+
+    rng = random.Random(43)
+    replay = rng.choices(pool, weights=zipf_weights(len(pool)), k=400)
+    for expression in replay:
+        outcome = system.answer(expression)
+        assert outcome.plan_cache_hit
+        assert outcome.codes == cold[expression]
+    # A warm hit re-runs none of the derivation stages.
+    assert _stage_counts(system) == derived
+    assert system._memo.computed == computed
+    assert system.stats()["plan_cache"]["hits"] == len(replay)
 
 
 def _twin_system() -> MaterializedViewSystem:

@@ -14,7 +14,6 @@ from repro.service import (
     AdmissionRejectedError,
     DeadlineExceededError,
     HTTPClient,
-    InProcessClient,
     ProtocolError,
     QueryScheduler,
     QueryServiceServer,
@@ -191,13 +190,6 @@ def test_http_client_reports_statuses(served):
         assert client.query("//no/such") == 422
     finally:
         client.close()
-
-
-def test_in_process_client_maps_errors(served):
-    client = InProcessClient(served.scheduler)
-    assert client.query("//item/name") == 200
-    assert client.query("//no/such") == 422
-    assert client.query("!!bad") == 400
 
 
 def _call_raw(server, path):

@@ -106,6 +106,15 @@ class TestBaselines:
         assert system.answer_bn(query).codes == truth
         assert system.answer_bf(query).codes == truth
 
+    @pytest.mark.parametrize("query", ["s[f//i][t]/p", "//s/t", "/b/s/s//i"])
+    def test_tj_runs_off_packed_streams(self, system, query):
+        assert system.answer_tj(query).codes == system.direct_codes(query)
+        streams = system._stream_index
+        assert streams is not None and streams.stored_bytes > 0
+        codes = streams.all_codes()
+        assert codes and all(isinstance(code, bytes) for code in codes)
+        assert all(isinstance(code, bytes) for code in streams.stream("p"))
+
     def test_index_sizes_reported(self, system):
         sizes = system.index_sizes()
         assert sizes["BF"] >= sizes["BN"] * 0  # both present
