@@ -247,7 +247,8 @@ def check_patched_fragments(
         key=lambda item: item[0],
     )
     expected = [
-        encode_dewey(code) + encode_fragment(node) for code, node in entries
+        encode_dewey(code) + encode_fragment(node, system.document.schema)
+        for code, node in entries
     ]
     if sum(len(payload) for payload in expected) > system.fragments.cap_bytes:
         raise ContractViolation(

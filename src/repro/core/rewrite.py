@@ -10,13 +10,14 @@ Pipeline for an answerable query with a selected unit set:
 3. **Extract** the answers by evaluating the Δ-unit's compensating
    pattern (answer node marked) inside each surviving fragment.
 
-Answers are reported as extended Dewey codes.  Fragments are stored
-without per-node codes, but the extended Dewey assignment is
-deterministic given the schema and sibling order — both preserved by
-fragment serialization — so :func:`reencode_fragment` reconstructs every
-descendant's code from the fragment root's code alone.  The end-to-end
-result is *provably* the same node set as evaluating the query on the
-base document, and the test suite checks exactly that equality.
+Answers are reported as extended Dewey codes.  Fragments store no
+per-node codes except where a delete left a gap, but the extended Dewey
+assignment is deterministic given the schema and sibling order — both
+preserved by fragment serialization — so :func:`reencode_fragment`
+reconstructs every descendant's code from the fragment root's code and
+those stored components.  The end-to-end result is *provably* the same
+node set as evaluating the query on the base document, and the test
+suite checks exactly that equality.
 """
 
 from __future__ import annotations
@@ -67,10 +68,12 @@ def reencode_fragment(
 ) -> None:
     """Stamp extended Dewey codes onto a deserialized fragment.
 
-    Because extended Dewey assignment is deterministic (smallest
-    admissible component per sibling, in sibling order) and fragments
-    preserve sibling order, the reconstructed codes equal the original
-    document's codes.
+    Extended Dewey assignment is deterministic (smallest admissible
+    component per sibling, in sibling order) and fragments preserve
+    sibling order; where a delete left a gap the payload stored the
+    component instead, and the decoder left it as the node's
+    one-component ``dewey``.  The reconstructed codes therefore equal
+    the document's codes.
     """
     root.dewey = root_code
     root.dewey_packed = pack_code(root_code)
@@ -79,9 +82,12 @@ def reencode_fragment(
         parent = stack.pop()
         previous: int | None = None
         for child in parent.children:
-            component = assign_child_component(
-                schema, parent.label, child.label, previous
-            )
+            if child.dewey is not None:
+                component = child.dewey[-1]
+            else:
+                component = assign_child_component(
+                    schema, parent.label, child.label, previous
+                )
             previous = component
             assert parent.dewey is not None
             assert parent.dewey_packed is not None

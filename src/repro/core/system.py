@@ -168,7 +168,9 @@ class MaterializedViewSystem:
         #: state: hard
         self.document = document
         #: state: soft(derived-from=document?; rebuild=register_views)
-        self.fragments = FragmentStore(store, cap_bytes=fragment_cap)
+        self.fragments = FragmentStore(
+            store, cap_bytes=fragment_cap, document=document
+        )
         self._plan_cache_size = plan_cache_size  #: state: hard
         self._cache_results = cache_results  #: state: hard
         #: state: soft(derived-from=document?; rebuild=intern)

@@ -6,7 +6,9 @@ upkeep of the materialized views and caches:
 * :mod:`repro.delta.delta` — :class:`SubtreeDelta`, the pre-mutation
   summary of one edit (packed Dewey range + concrete label paths);
 * :mod:`repro.delta.resolver` — splits the view pool into untouched /
-  patchable / rebuild by running the delta through the VFILTER NFAs;
+  patchable / rebuild by running the delta through the VFILTER NFAs,
+  and scopes each flagged view's re-evaluation to the subtree where a
+  predicate can flip;
 * :mod:`repro.delta.patcher` — splices patchable views' fragments by
   packed-Dewey range, byte-identical to a full re-materialization;
 * :mod:`repro.delta.maintenance` — :class:`DocumentEditor`, the write
@@ -20,7 +22,6 @@ from .patcher import FragmentPatcher
 from .resolver import (
     AffectedViews,
     ViewImpact,
-    pattern_patchable,
     resolve_affected,
 )
 
@@ -32,6 +33,5 @@ __all__ = [
     "SubtreeDelta",
     "ViewImpact",
     "ViewMaintenance",
-    "pattern_patchable",
     "resolve_affected",
 ]

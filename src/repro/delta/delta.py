@@ -4,7 +4,8 @@ A :class:`SubtreeDelta` captures everything the affected-view resolver
 and the fragment patcher need to know about one insert/delete edit
 *before* the tree is mutated:
 
-* the edited subtree and how many nodes it holds,
+* the edited subtree, the node it hangs under and how many nodes it
+  holds,
 * the packed-Dewey anchor (the parent for inserts, the doomed root for
   deletes) used for fragment-content overlap tests,
 * the set of concrete root-to-node label paths of every changed node —
@@ -34,6 +35,8 @@ class SubtreeDelta:
 
     operation: str
     subtree_root: XMLNode
+    #: The node the subtree hangs (insert) or hung (delete) under.
+    parent: XMLNode
     #: Packed code of the insert parent / the deleted subtree root —
     #: a stored fragment overlaps the edit content iff its packed code
     #: is a byte prefix of this anchor (ancestor-or-self).
@@ -60,6 +63,7 @@ class SubtreeDelta:
         return cls(
             operation="insert",
             subtree_root=subtree,
+            parent=parent,
             anchor_packed=parent.dewey_packed,
             anchor_labels=base,
             label_paths=paths,
@@ -72,11 +76,14 @@ class SubtreeDelta:
         """Delta for detaching ``node`` (call before ``detach``)."""
         if node.dewey is None or node.dewey_packed is None:
             raise ValueError("delete target has no Dewey code")
+        if node.parent is None:
+            raise ValueError("cannot delete the document root")
         base = node.label_path()[:-1]
         paths, labels, count = cls._walk(node, base)
         return cls(
             operation="delete",
             subtree_root=node,
+            parent=node.parent,
             anchor_packed=node.dewey_packed,
             anchor_labels=base,
             label_paths=paths,

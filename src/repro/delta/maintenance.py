@@ -9,11 +9,16 @@ the entire document.  This module replaces that with delta propagation:
 1. the edit is summarized as a :class:`SubtreeDelta` *before* the tree
    mutates (packed Dewey anchor + concrete label paths);
 2. the resolver runs the delta's paths through the epoch's VFILTER
-   NFAs and splits views into untouched / patchable / rebuild
-   (:mod:`repro.delta.resolver` proves the untouched verdict sound);
+   NFAs and splits views into untouched / patchable / rebuild, and
+   scopes each flagged view: to the highest ancestor of the edit where
+   a predicate branch flips, else to the inserted subtree, else to a
+   content-only patch (:mod:`repro.delta.resolver` proves each verdict
+   sound);
 3. patchable views are spliced in place by packed-Dewey range
-   (:mod:`repro.delta.patcher`); only branching patterns pay a full
-   re-evaluation;
+   (:mod:`repro.delta.patcher`) after evaluating the pattern under the
+   scope only; payloads are encoded once per edit and shared across
+   views.  Only capped views and schema-violating inserts pay a
+   re-evaluation over the whole document;
 4. the plan cache is invalidated *scoped*: only plans whose recorded
    view dependencies intersect the affected set (plus plans with no
    recorded filter provenance) are dropped — the single invalidation
@@ -24,7 +29,9 @@ the entire document.  This module replaces that with delta propagation:
 
 Extended Dewey codes make the encoding side cheap: inserts append the
 subtree as the parent's last child so *no existing code changes*, and
-deletes remove codes without renumbering.  Inserts whose labels violate
+deletes remove codes without renumbering (a fragment stores the
+component of a node a delete left behind a gap, see
+:func:`~repro.storage.serialize.encode_fragment`).  Inserts whose labels violate
 the mined schema still fall back to a full re-encode + blanket rebuild
 (the FST alphabet itself changes), as do encode failures mid-edit.
 
@@ -47,9 +54,10 @@ from ..core.view import View
 from ..errors import EncodingError, SchemaError
 from ..matching.evaluate import evaluate
 from ..obs import current_trace
-from ..xmltree.builder import encode_tree
+from ..xmltree.builder import EncodedDocument, encode_tree
 from ..xmltree.dewey import (
     DeweyCode,
+    PackedCode,
     assign_child_component,
     pack_component,
 )
@@ -228,16 +236,23 @@ class DocumentEditor:
         self, parent: XMLNode, subtree: XMLNode
     ) -> MaintenanceReport:
         """Schema-violating insert: re-encode everything, rebuild all
-        (every code changed, so nothing is patchable)."""
+        (every code changed, so nothing is patchable).  The scoped
+        invalidation in :meth:`_apply_impacts` covers every view, so it
+        drops every plan: the edit's one invalidation."""
         delta = SubtreeDelta.for_insert(parent, subtree)
         parent.add_child(subtree)
+        document = self.system.document
         try:
-            self._full_reencode()
+            fresh = self._full_reencode()
+            document.schema = fresh.schema
+            document.fst = fresh.fst
+            document.invalidate()
+            self._drop_base_indexes()
         except BaseException:
             self._invalidate_document()
             raise
         rebuild = tuple(
-            ViewImpact(view, "rebuild", False, "full-reencode")
+            ViewImpact(view, "rebuild", "full-reencode")
             for view in self.system.materialized_views()
         )
         report = self._apply_impacts(delta, AffectedViews(rebuild, ()))
@@ -293,6 +308,9 @@ class DocumentEditor:
         if impacts.untouched:
             self._views_total.inc(float(len(impacts.untouched)), "untouched")
         capped: list[str] = []
+        # Payloads encoded during this edit, by packed code: a fragment
+        # several views store is re-encoded once.
+        encoded: dict[PackedCode, bytes] = {}
         for impact in impacts.impacts:
             view_id = impact.view.view_id
             report.affected_views.append(view_id)
@@ -305,8 +323,9 @@ class DocumentEditor:
             try:
                 if patched:
                     with current_trace().span("delta_patch", view=view_id):
+                        answers = self._scoped_answers(impact)
                         fits = self._patcher.patch(
-                            impact.view, delta, impact.splice
+                            impact.view, delta, encoded, impact.scope, answers
                         )
                 else:
                     with current_trace().span("delta_rebuild", view=view_id):
@@ -337,15 +356,26 @@ class DocumentEditor:
             self._stage_hist.observe(elapsed, "patch" if patched else "rebuild")
             if not fits:
                 capped.append(view_id)
-            elif patched and contracts.enabled():
+            elif contracts.enabled():
                 contracts.check_patched_fragments(
-                    system, impact.view, f"{delta.operation} patch"
+                    system, impact.view, f"{delta.operation} {mode}"
                 )
         if capped:
             # Views that outgrew the cap leave the answerable pool; the
             # filter is rebuilt over the remaining ones.
             self._evict_views(capped)
         return report
+
+    def _scoped_answers(self, impact: ViewImpact) -> set[XMLNode]:
+        """The view's answers under the impact's scope (none without
+        one): the pattern is evaluated over the scope's subtree, its
+        ancestors and the resolver's branch witnesses
+        (:mod:`repro.delta.resolver`)."""
+        scope = impact.scope
+        if scope is None:
+            return set()
+        universe = [*scope.iter_subtree(), *scope.ancestors(), *impact.support]
+        return evaluate(impact.view.pattern, self.system.document.tree, universe)
 
     def _patch_base_state(self, delta: SubtreeDelta) -> None:
         """Patch the code lookup and lazy base-data indexes for the
@@ -440,29 +470,29 @@ class DocumentEditor:
                 )
                 stack.append(child)
 
-    def _full_reencode(self) -> None:
-        document = self.system.document
-        fresh = encode_tree(document.tree)
-        document.schema = fresh.schema
-        document.fst = fresh.fst
-        self._invalidate_document()
+    def _full_reencode(self) -> EncodedDocument:
+        """Re-stamp every code of the tree under a freshly mined schema."""
+        return encode_tree(self.system.document.tree)
 
     def _invalidate_document(self) -> None:
-        """Blanket fallback invalidation (full re-encode and failed
-        scoped edits): every derived artifact of the document goes."""
-        document = self.system.document
-        document.tree.invalidate_indexes()
-        document.invalidate()
-        # Base-data indexes are stale too.  Resetting them races with a
-        # concurrent lazy build in ``_ensure_node_index`` & co., so the
-        # writes must take the same lock the builders hold.
+        """Blanket fallback invalidation (failed edits): every derived
+        artifact of the document goes."""
+        self.system.document.invalidate()
+        self._drop_base_indexes()
+        # Cached plans embed rewrite results over the old document;
+        # drop them here rather than relying on a later rebuild pass.
+        self.system._invalidate_plans()
+
+    def _drop_base_indexes(self) -> None:
+        """Reset the tree's label index and the lazy base-data indexes."""
+        self.system.document.tree.invalidate_indexes()
+        # Resetting them races with a concurrent lazy build in
+        # ``_ensure_node_index`` & co., so the writes must take the
+        # same lock the builders hold.
         with self.system._index_lock:
             self.system._node_index = None
             self.system._path_index = None
             self.system._stream_index = None
-        # Cached plans embed rewrite results over the old document;
-        # drop them here rather than relying on a later rebuild pass.
-        self.system._invalidate_plans()
 
     def _evict_views(self, view_ids: list[str]) -> None:
         """Remove views from the answerable pool and rebuild VFILTER."""

@@ -24,43 +24,78 @@ Views whose answers cannot change may still store *content* that
 changed: a fragment rooted at an ancestor-or-self of the edit anchor
 serializes bytes from inside ``S``.  Those views are patchable without
 re-evaluation (the answer set is proven stable) — only the overlapping
-fragments are re-encoded.
+fragments are re-encoded.  They are found by looking the anchor's
+ancestor-or-self packed prefixes (one per depth) up in the view's
+code-ordered fragments, and, for a delete, by bisecting for a fragment
+inside the deleted range.
 
-Patchable vs rebuild (the fallback predicate): splicing evaluates the
-view pattern against the edited subtree plus its ancestor chain only.
-That universe is complete exactly for branchless patterns whose answer
-node is the pattern leaf (``pattern.is_path() and not ret.children``):
-every embedding host is then an ancestor-or-self of the answer node, so
-an answer inside ``S`` is witnessed entirely within the universe, and
-answers outside ``S`` keep their (unchanged) ancestor chains.  Patterns
-with branches below the answer node can gain or lose answers *outside*
-the subtree (a predicate branch may be satisfied by the new content),
-so they take the sound full-rebuild path instead.
+Flagged views are scoped, not re-evaluated over the document.  Call the
+*spine* the pattern path ``p0 … pk`` from the root to the answer node
+and the *branches* of ``pi`` its children off the spine.  An answer is
+the end of a chain ``h0 … hk`` of tree nodes where each ``hi`` hosts
+``pi`` (label and attributes match, every branch of ``pi`` embeds below
+``hi``) and the chain respects the spine's axes.  Let ``A`` be the
+ancestors of ``S`` (the edited subtree's parent and up).  A node
+outside ``A ∪ S`` keeps its subtree, so whether it hosts a ``pi`` is
+unchanged.  So if the answers change, some chain either passes through
+``S`` — then its answer lies inside ``S`` — or passes through a node
+``h`` of ``A`` where the branches of some ``pi`` held before the edit
+and not after, or the reverse: a *flip* at ``h``.  Chains ending
+outside the subtree of the highest flipped ``h`` touch no flipped node
+and no node of ``S``, so they are unchanged.  Patterns are positive, so
+a branch embedding that exists without ``S`` also exists with it: each
+host is tested once without ``S`` (early exit on the first embedding;
+true means no flip) and, only if that fails, once with ``S``.  The
+tests run against the pre-edit tree, adding ``S`` under its parent for
+an insert and skipping it for a delete.  Only hosts whose label,
+attributes and depth fit ``pi`` are tested.  The verdicts:
+
+* a flip at ``h`` (the highest one): re-evaluate the answers under
+  ``h`` and splice them over ``h``'s packed-Dewey range
+  (``predicate-flip``);
+* no flip, an insert and a spine that can end inside ``S`` (its label
+  path matches a changed node's): the same under the root of ``S``
+  (``answers-in-subtree``);
+* otherwise the answers outside ``S`` are unchanged and the view is
+  treated like an unflagged one: re-encode the overlapping fragments
+  and, for a delete, drop the answers in ``S`` by range
+  (``fragment-content-overlap``, no splice), or leave it untouched
+  when it stores none of them.
+
+A scoped evaluation runs over the subtree under the scope, its
+ancestors, and the *support*: one post-edit embedding of the branches
+of every ``pi`` at every ancestor that hosts it (recorded by the
+no-flip tests, which hold both before and after the edit).  Every chain
+ending under the scope is then witnessed within that universe.  Only
+capped views (nothing stored to patch) and schema-violating inserts
+(every code changes) are still rebuilt over the whole document.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterator
 
 from ..core.vfilter import LayeredVFilter, VFilter
 from ..core.view import View
-from ..storage.fragments import FragmentStore
-from ..xmltree.dewey import packed_is_prefix
-from ..xpath.pattern import TreePattern
+from ..matching.evaluate import node_matches
+from ..storage.fragments import Fragment, FragmentStore
+from ..storage.index import match_path_steps
+from ..xmltree.dewey import PackedCode, packed_prefixes
+from ..xmltree.tree import XMLNode
+from ..xpath.ast import Axis
+from ..xpath.pattern import PatternNode
 from .delta import SubtreeDelta
 
 __all__ = [
     "AffectedViews",
     "ViewImpact",
-    "pattern_patchable",
     "resolve_affected",
 ]
 
-
-def pattern_patchable(pattern: TreePattern) -> bool:
-    """True when subtree-scoped splicing is sound for ``pattern``:
-    branchless, with the answer node at the leaf."""
-    return pattern.is_path() and not pattern.ret.children
+_PACKED = attrgetter("packed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,11 +105,21 @@ class ViewImpact:
     view: View
     #: ``"patch"`` or ``"rebuild"``.
     mode: str
-    #: Patch flavor: ``True`` re-evaluates the edited subtree and
-    #: splices answers; ``False`` only re-encodes overlapping fragment
-    #: content (the answer set is proven unchanged).
-    splice: bool
     reason: str
+    #: Splice root: the highest node where a predicate branch flipped,
+    #: or the root of the inserted subtree.  None for a content-only
+    #: patch (and for a rebuild).
+    scope: XMLNode | None = None
+    #: Post-edit branch embeddings at the scope's ancestors.
+    support: tuple[XMLNode, ...] = ()
+
+    @property
+    def splice(self) -> bool:
+        """Patch flavor: True re-evaluates the view under ``scope`` and
+        splices the answers over its packed range; False only
+        re-encodes overlapping fragment content (and range-drops the
+        answers a delete removed)."""
+        return self.scope is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,26 +143,153 @@ def resolve_affected(
     answer_hits: set[str] = set()
     for labels in delta.label_paths:
         answer_hits |= vfilter.accepting_views(labels)
+    anchors = packed_prefixes(delta.anchor_packed)
+    deleted = delta.packed_range() if delta.operation == "delete" else None
+    edit: _Edit | None = None
     impacts: list[ViewImpact] = []
     untouched: list[str] = []
     for view in views:
-        answer_hit = view.view_id in answer_hits
-        content_hit = any(
-            packed_is_prefix(fragment.packed, delta.anchor_packed)
-            for fragment in fragments.fragments(view.view_id)
-        )
-        if not answer_hit and not content_hit:
-            untouched.append(view.view_id)
-        elif fragments.is_capped(view.view_id):
-            # A capped view stores nothing to patch; a full rebuild may
-            # also un-cap it if the edit shrank its fragments.
-            impacts.append(ViewImpact(view, "rebuild", False, "capped-view"))
-        elif not answer_hit:
+        view_id = view.view_id
+        if view_id in answer_hits:
+            if fragments.is_capped(view_id):
+                # A capped view stores nothing to patch; a full rebuild
+                # may also un-cap it if the edit shrank its fragments.
+                impacts.append(ViewImpact(view, "rebuild", "capped-view"))
+                continue
+            if edit is None:
+                edit = _Edit(delta)
+            impact = edit.classify(view)
+            if impact is not None:
+                impacts.append(impact)
+                continue
+        if _stores_any(fragments.fragments(view_id), anchors, deleted):
             impacts.append(
-                ViewImpact(view, "patch", False, "fragment-content-overlap")
+                ViewImpact(view, "patch", "fragment-content-overlap")
             )
-        elif pattern_patchable(view.pattern):
-            impacts.append(ViewImpact(view, "patch", True, "answers-in-subtree"))
         else:
-            impacts.append(ViewImpact(view, "rebuild", False, "branching-pattern"))
+            untouched.append(view_id)
     return AffectedViews(impacts=tuple(impacts), untouched=tuple(untouched))
+
+
+def _stores_any(
+    fragments: list[Fragment],
+    codes: tuple[PackedCode, ...],
+    deleted: tuple[PackedCode, PackedCode] | None,
+) -> bool:
+    """True when a fragment is rooted at one of ``codes`` (ascending)
+    or inside the ``deleted`` packed range."""
+    if deleted is not None:
+        low, high = deleted
+        index = bisect_left(fragments, low, key=_PACKED)
+        if index < len(fragments) and fragments[index].packed < high:
+            return True
+    index = 0
+    for code in codes:
+        index = bisect_left(fragments, code, index, key=_PACKED)
+        if index == len(fragments):
+            return False
+        if fragments[index].packed == code:
+            return True
+    return False
+
+
+class _Edit:
+    """One pending edit, seen with and without the edited subtree ``S``
+    on the pre-edit tree."""
+
+    __slots__ = ("insert", "subtree", "parent", "chain", "paths")
+
+    def __init__(self, delta: SubtreeDelta) -> None:
+        self.insert = delta.operation == "insert"
+        self.subtree = delta.subtree_root
+        self.parent = delta.parent
+        #: Ancestors of ``S``, root first: ``chain[d]`` has depth ``d``.
+        self.chain = [*reversed(list(delta.parent.ancestors())), delta.parent]
+        self.paths = delta.label_paths
+
+    def classify(self, view: View) -> ViewImpact | None:
+        """Scope one NFA-flagged view (see the module docstring); None
+        when its answers outside ``S`` cannot change."""
+        spine = view.pattern.ret.root_path()
+        steps: list[tuple[PatternNode, list[PatternNode], bool]] = []
+        exact = True
+        for index, step in enumerate(spine):
+            exact = exact and step.axis is Axis.CHILD
+            below = spine[index + 1] if index + 1 < len(spine) else None
+            branches = [child for child in step.children if child is not below]
+            steps.append((step, branches, exact))
+        support: list[XMLNode] = []
+        for depth, host in enumerate(self.chain):
+            for index, (step, branches, exact) in enumerate(steps):
+                if not branches or index > depth or (exact and index != depth):
+                    continue
+                if not node_matches(step, host):
+                    continue
+                witness = self._branches(branches, host, with_subtree=False)
+                if witness is not None:
+                    support.extend(witness)
+                elif self._branches(branches, host, with_subtree=True) is not None:
+                    return ViewImpact(
+                        view, "patch", "predicate-flip", host, tuple(support)
+                    )
+        spine_steps = [(step.axis, step.label) for step in spine]
+        if self.insert and any(
+            match_path_steps(spine_steps, path) for path in self.paths
+        ):
+            return ViewImpact(
+                view, "patch", "answers-in-subtree", self.subtree, tuple(support)
+            )
+        return None
+
+    # ------------------------------------------------------------------
+    # existence tests with early exit
+    # ------------------------------------------------------------------
+    def _children(self, node: XMLNode, with_subtree: bool) -> list[XMLNode]:
+        children = node.children
+        if node is not self.parent:
+            return children
+        if self.insert:
+            return [*children, self.subtree] if with_subtree else children
+        if with_subtree:
+            return children
+        return [child for child in children if child is not self.subtree]
+
+    def _descendants(self, node: XMLNode, with_subtree: bool) -> Iterator[XMLNode]:
+        stack = list(self._children(node, with_subtree))
+        while stack:
+            current = stack.pop()
+            yield current
+            stack.extend(self._children(current, with_subtree))
+
+    def _branches(
+        self, branches: list[PatternNode], host: XMLNode, with_subtree: bool
+    ) -> list[XMLNode] | None:
+        """Nodes of one embedding of every branch below ``host``, or
+        None when some branch has none."""
+        found: list[XMLNode] = []
+        for branch in branches:
+            if branch.axis is Axis.CHILD:
+                candidates: Iterator[XMLNode] = iter(
+                    self._children(host, with_subtree)
+                )
+            else:
+                candidates = self._descendants(host, with_subtree)
+            for candidate in candidates:
+                witness = self._embed(branch, candidate, with_subtree)
+                if witness is not None:
+                    found.extend(witness)
+                    break
+            else:
+                return None
+        return found
+
+    def _embed(
+        self, step: PatternNode, node: XMLNode, with_subtree: bool
+    ) -> list[XMLNode] | None:
+        """Nodes of one embedding of ``step``'s subtree at ``node``."""
+        if not node_matches(step, node):
+            return None
+        if not step.children:
+            return [node]
+        below = self._branches(step.children, node, with_subtree)
+        return None if below is None else [node, *below]

@@ -27,6 +27,7 @@ __all__ = [
     "evaluate",
     "evaluate_boolean",
     "evaluate_relative",
+    "node_matches",
     "satisfies_relative",
 ]
 
@@ -59,7 +60,9 @@ class SubtreeIndex:
         return self._by_label.get(label, [])
 
 
-def _node_matches(pattern_node: PatternNode, tree_node: XMLNode) -> bool:
+def node_matches(pattern_node: PatternNode, tree_node: XMLNode) -> bool:
+    """Label (``*`` matches any) and attribute constraints hold at
+    ``tree_node``."""
     if pattern_node.label != WILDCARD and pattern_node.label != tree_node.label:
         return False
     return all(
@@ -125,7 +128,7 @@ class _Evaluator:
                 )
             }
         return {
-            node for node in self.universe if _node_matches(pattern_node, node)
+            node for node in self.universe if node_matches(pattern_node, node)
         }
 
     def _run(self) -> None:

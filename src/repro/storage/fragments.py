@@ -19,6 +19,7 @@ from typing import Iterator
 
 from ..errors import StorageError
 from ..matching.evaluate import SubtreeIndex
+from ..xmltree.builder import EncodedDocument
 from ..xmltree.dewey import DeweyCode, PackedCode, pack_code, packed_prefixes
 from ..xmltree.tree import XMLNode
 from .kvstore import KVStore
@@ -100,9 +101,14 @@ class FragmentStore:
     """Fragment persistence for a set of materialized views."""
 
     def __init__(self, store: KVStore | None = None,
-                 cap_bytes: int = DEFAULT_FRAGMENT_CAP):
+                 cap_bytes: int = DEFAULT_FRAGMENT_CAP,
+                 document: EncodedDocument | None = None):
         self.store = store if store is not None else KVStore()  #: state: hard
         self.cap_bytes = cap_bytes  #: state: hard
+        #: The document the fragments are cut from: its (current)
+        #: schema lets :meth:`materialize` store the components a
+        #: delete left non-smallest (:func:`encode_fragment`).
+        self.document = document  #: state: hard
         #: view_id -> (count, total_bytes, capped)
         #: state: soft(derived-from=store?; rebuild=_load_manifests)
         self._manifests: dict[str, tuple[int, int, bool]] = {}
@@ -161,10 +167,11 @@ class FragmentStore:
         if view_id in self._manifests:
             raise StorageError(f"view {view_id!r} already materialized")
         entries = sorted(fragments, key=lambda item: item[0])
+        schema = self.document.schema if self.document is not None else None
         total = 0
         payloads: list[bytes] = []
         for code, root in entries:
-            payload = encode_dewey(code) + encode_fragment(root)
+            payload = encode_dewey(code) + encode_fragment(root, schema)
             total += len(payload)
             if total > self.cap_bytes:
                 return self._mark_capped(view_id)
@@ -191,21 +198,33 @@ class FragmentStore:
         self._cache.pop(view_id, None)
         self._write_manifest(view_id)
 
-    def replace(self, view_id: str, payloads: list[bytes]) -> bool:
-        """Swap a view's stored fragments for patched payloads.
+    def replace(self, view_id: str, fragments: list[Fragment]) -> bool:
+        """Swap a view's stored fragments for patched ones.
 
         The delta-maintenance counterpart of :meth:`materialize` for an
-        *already materialized* view: ``payloads`` must be the encoded
-        fragments (each ``encode_dewey(code) + encode_fragment(root)``)
-        in packed-code order, exactly the bytes a fresh materialization
-        would store.  Cap accounting matches :meth:`materialize` — False
-        marks the view capped and discards everything.
+        *already materialized* view: ``fragments`` must be in packed-code
+        order, with payloads (each ``encode_dewey(code) +
+        encode_fragment(root, schema)``) exactly the bytes a fresh
+        materialization would store.  The list becomes the warm cache,
+        so fragments a patch kept stay decoded.  Cap accounting matches
+        :meth:`materialize` — False marks the view capped and discards
+        everything.
         """
-        self.drop(view_id)
-        total = sum(len(payload) for payload in payloads)
+        total = sum(fragment.stored_bytes for fragment in fragments)
         if total > self.cap_bytes:
+            self.drop(view_id)
             return self._mark_capped(view_id)
-        self._store_payloads(view_id, payloads, total)
+        stored = self._cache.get(view_id)
+        count = self._manifests[view_id][0]
+        for seq, fragment in enumerate(fragments):
+            # A kept fragment at its old position needs no write.
+            if stored is None or seq >= count or stored[seq] is not fragment:
+                self.store.put(self._fragment_key(view_id, seq), fragment.payload)
+        for seq in range(len(fragments), count):
+            self.store.delete(self._fragment_key(view_id, seq))
+        self._manifests[view_id] = (len(fragments), total, False)
+        self._cache[view_id] = fragments
+        self._write_manifest(view_id)
         return True
 
     def drop(self, view_id: str) -> None:

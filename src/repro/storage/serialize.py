@@ -7,7 +7,8 @@ embedded store:
 * varint-encoded unsigned integers (LEB128),
 * length-prefixed UTF-8 strings,
 * extended Dewey codes (varint count + varint components),
-* XML subtrees (preorder stream with child counts).
+* XML subtrees (preorder stream with child counts and, where a delete
+  left a gap, explicit extended Dewey components).
 
 All decoders take ``(buffer, offset)`` and return ``(value,
 new_offset)`` so records can be composed without intermediate copies.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from ..errors import StorageError
 from ..xmltree.dewey import DeweyCode
+from ..xmltree.schema import DocumentSchema
 from ..xmltree.tree import XMLNode
 
 __all__ = [
@@ -31,8 +33,15 @@ __all__ = [
 ]
 
 
+#: One-byte encodings, shared: nearly every varint in a fragment (flags,
+#: counts, label lengths) is below 128.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
+
 def encode_varint(value: int) -> bytes:
     """LEB128-encode a non-negative integer."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise StorageError("varint cannot encode negative values")
     out = bytearray()
@@ -91,37 +100,69 @@ def decode_dewey(buffer: bytes, offset: int) -> tuple[DeweyCode, int]:
     return tuple(components), offset
 
 
-def encode_fragment(root: XMLNode) -> bytes:
+def encode_fragment(root: XMLNode, schema: DocumentSchema | None = None) -> bytes:
     """Serialize a subtree: preorder, each node as
-    ``label, text?, attrs, child-count``."""
+    ``label, flags, text?, component?, attrs, child-count``.
+
+    ``flags`` bit 0 marks text.  Bit 1 marks an explicit extended Dewey
+    component.  With ``schema`` given, a coded node below ``root``
+    whose component is not the smallest admissible one after its
+    previous sibling's (a delete left a gap before it) stores its last
+    component, so :func:`~repro.core.rewrite.reencode_fragment`
+    restores its exact code.  Freshly encoded documents have no gaps,
+    so their payloads carry no component at all.
+    """
     parts: list[bytes] = []
-    stack = [root]
+    stack: list[tuple[XMLNode, bool]] = [(root, False)]
     while stack:
-        node = stack.pop()
+        node, explicit = stack.pop()
         parts.append(encode_text(node.label))
-        if node.text is None:
-            parts.append(encode_varint(0))
-        else:
-            parts.append(encode_varint(1))
+        parts.append(encode_varint((node.text is not None) | explicit << 1))
+        if node.text is not None:
             parts.append(encode_text(node.text))
+        if explicit:
+            assert node.dewey is not None
+            parts.append(encode_varint(node.dewey[-1]))
         parts.append(encode_varint(len(node.attributes)))
         for name, value in node.attributes.items():
             parts.append(encode_text(name))
             parts.append(encode_text(value))
-        parts.append(encode_varint(len(node.children)))
-        stack.extend(reversed(node.children))
+        children = node.children
+        parts.append(encode_varint(len(children)))
+        if schema is None or node.dewey is None or not children:
+            stack.extend((child, False) for child in reversed(children))
+            continue
+        # The smallest admissible component lies in [floor, floor + k)
+        # for fanout k, so anything at or past floor + k left a gap.
+        fanout = schema.fanout(node.label)
+        floor = 0
+        marked: list[tuple[XMLNode, bool]] = []
+        for child in children:
+            component = child.dewey[-1] if child.dewey else floor
+            marked.append((child, component - floor >= fanout))
+            floor = component + 1
+        stack.extend(reversed(marked))
     return b"".join(parts)
 
 
 def decode_fragment(buffer: bytes, offset: int = 0) -> tuple[XMLNode, int]:
-    """Inverse of :func:`encode_fragment`; returns ``(root, new_offset)``."""
+    """Inverse of :func:`encode_fragment`; returns ``(root, new_offset)``.
+
+    A node stored with an explicit component carries it as a
+    one-component ``dewey`` until
+    :func:`~repro.core.rewrite.reencode_fragment` stamps the full
+    codes; every other decoded node has no code.
+    """
 
     def read_node(offset: int) -> tuple[XMLNode, int, int]:
         label, offset = decode_text(buffer, offset)
-        has_text, offset = decode_varint(buffer, offset)
+        flags, offset = decode_varint(buffer, offset)
         text: str | None = None
-        if has_text:
+        if flags & 1:
             text, offset = decode_text(buffer, offset)
+        component: int | None = None
+        if flags & 2:
+            component, offset = decode_varint(buffer, offset)
         attr_count, offset = decode_varint(buffer, offset)
         attributes: dict[str, str] = {}
         for _ in range(attr_count):
@@ -129,7 +170,10 @@ def decode_fragment(buffer: bytes, offset: int = 0) -> tuple[XMLNode, int]:
             value, offset = decode_text(buffer, offset)
             attributes[name] = value
         child_count, offset = decode_varint(buffer, offset)
-        return XMLNode(label, text=text, attributes=attributes), child_count, offset
+        node = XMLNode(label, text=text, attributes=attributes)
+        if component is not None:
+            node.dewey = (component,)
+        return node, child_count, offset
 
     root, root_children, offset = read_node(offset)
     # Explicit stack of (node, remaining children) to avoid recursion.

@@ -2,10 +2,11 @@
 
 Covers the pieces the coarse maintenance tests don't:
 
-* resolver classification — untouched / patchable / content-only /
-  branching-rebuild verdicts on hand-built documents, plus the
-  fallback-predicate soundness property (a view resolved *untouched*
-  really keeps its exact answer set across the edit);
+* resolver classification — untouched / splice / content-only
+  verdicts on hand-built documents (branching views included: a
+  predicate flip scopes the splice to the flipped ancestor), plus the
+  soundness property (a view resolved *untouched* really keeps its
+  exact answer set across the edit);
 * patcher byte-identity — patched fragment payloads equal a fresh
   re-materialization byte for byte, and the report proves the scoped
   *patch* path (not a hidden rebuild) produced them;
@@ -16,9 +17,13 @@ Covers the pieces the coarse maintenance tests don't:
 * maintenance linearizability under the epoch registry — concurrent
   readers see the pre-edit or post-edit answer, never a mix, and
   maintenance publishes **no** epoch;
+* no whole-document re-evaluation: path and branching views shaped
+  like the repository benchmark's are maintained by scoped evaluation
+  only;
 * a hypothesis property: random edit sequences keep every materialized
   view byte-identical to ground truth (XMVR_CHECK=1 makes the editor
-  self-check every patch on top of the explicit asserts here).
+  self-check every maintained view on top of the explicit asserts
+  here).
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ import random
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import MaterializedViewSystem, encode_tree
 from repro.bench import PROCESSING_CONFIG, SEED_VIEWS, TEST_QUERIES
 from repro.delta import DocumentEditor, SubtreeDelta, resolve_affected
-from repro.delta import maintenance, patcher
+from repro.delta import maintenance
 from repro.matching import evaluate
 from repro.service import zipf_weights
 from repro.service.engine import SnapshotEngine
@@ -45,6 +50,8 @@ from repro.workload.querygen import (
 from repro.workload.xmark import generate_xmark_document
 from repro.storage.serialize import encode_dewey, encode_fragment
 from repro.xmltree import XMLNode, build_tree
+from repro.xpath.ast import Axis
+from repro.xpath.pattern import PatternNode, TreePattern
 
 from conftest import random_pattern, random_tree
 
@@ -69,7 +76,10 @@ def _expected_payloads(system: MaterializedViewSystem, view) -> list[bytes]:
         ((n.dewey, n) for n in answers if n.dewey is not None),
         key=lambda item: item[0],
     )
-    return [encode_dewey(code) + encode_fragment(node) for code, node in entries]
+    schema = system.document.schema
+    return [
+        encode_dewey(code) + encode_fragment(node, schema) for code, node in entries
+    ]
 
 
 def _stored_payloads(system: MaterializedViewSystem, view_id: str) -> list[bytes]:
@@ -78,6 +88,25 @@ def _stored_payloads(system: MaterializedViewSystem, view_id: str) -> list[bytes
 
 def _view_modes(report) -> dict[str, str]:
     return {entry.view_id: entry.mode for entry in report.views}
+
+
+def _forbid_whole_tree_evaluate(monkeypatch) -> list[int]:
+    """Make the maintenance binding of ``evaluate`` (the one a rebuild
+    calls) fail on a whole-document call; returns the universe sizes
+    of the scoped calls it lets through."""
+    universes: list[int] = []
+    real_evaluate = maintenance.evaluate
+
+    def scoped_only(pattern, tree, universe=None):
+        if universe is None:
+            raise AssertionError(
+                f"{pattern.to_xpath()} was re-evaluated over the whole tree"
+            )
+        universes.append(len(universe))
+        return real_evaluate(pattern, tree, universe)
+
+    monkeypatch.setattr(maintenance, "evaluate", scoped_only)
+    return universes
 
 
 # ----------------------------------------------------------------------
@@ -110,17 +139,48 @@ class TestResolver:
         assert impact.mode == "patch" and impact.splice
         assert impact.reason == "answers-in-subtree"
 
-    def test_branching_pattern_rebuilds(self):
+    def test_branching_pattern_splices_answers_in_subtree(self):
+        # s[t] already holds at the section, so the new p can only add
+        # answers inside the inserted subtree: no whole-view rebuild.
         system = _system({"VB": "//s[t]/p"})
         parent = _first_section(system)
-        delta = SubtreeDelta.for_insert(parent, XMLNode("p"))
+        child = XMLNode("p")
+        delta = SubtreeDelta.for_insert(parent, child)
         epoch = system.current_epoch()
         affected = resolve_affected(
             delta, epoch.vfilter, system.fragments, list(epoch.materialized)
         )
         (impact,) = affected.impacts
-        assert impact.mode == "rebuild"
-        assert impact.reason == "branching-pattern"
+        assert impact.mode == "patch" and impact.splice
+        assert impact.reason == "answers-in-subtree"
+        assert impact.scope is child
+
+    def test_insert_flipping_a_predicate_scopes_the_splice(self):
+        # The first section has no f; inserting one flips s[f] there.
+        system = _system({"VF": "//s[f]/t"})
+        parent = _first_section(system)
+        delta = SubtreeDelta.for_insert(parent, XMLNode("f"))
+        epoch = system.current_epoch()
+        affected = resolve_affected(
+            delta, epoch.vfilter, system.fragments, list(epoch.materialized)
+        )
+        (impact,) = affected.impacts
+        assert impact.mode == "patch" and impact.splice
+        assert impact.reason == "predicate-flip"
+        assert impact.scope is parent
+
+    def test_branch_holding_elsewhere_leaves_answers_alone(self):
+        # b[s] holds through the other section, so deleting one
+        # section's subtree flips nothing: the view is untouched.
+        system = _system({"VR": "/b[s]/t"})
+        victim = _first_section(system)
+        delta = SubtreeDelta.for_delete(victim)
+        epoch = system.current_epoch()
+        affected = resolve_affected(
+            delta, epoch.vfilter, system.fragments, list(epoch.materialized)
+        )
+        assert affected.impacts == ()
+        assert affected.untouched == ("VR",)
 
     def test_edit_inside_fragment_is_an_answer_hit(self):
         system = _system({"VP": "//s/p"})
@@ -134,10 +194,12 @@ class TestResolver:
         (impact,) = affected.impacts
         # The VFILTER NFA accepts containment extensions — (b, s, p, t)
         # extends the view path — so an edit strictly inside a stored
-        # fragment classifies as a patchable answer hit, and the
-        # patcher's overlap rule re-encodes the grown fragment.
-        assert impact.mode == "patch" and impact.splice
-        assert impact.reason == "answers-in-subtree"
+        # fragment is an answer hit.  No spine of //s/p ends at the new
+        # t and nothing flips, so the verdict is the content-only
+        # patch: the patcher's overlap rule re-encodes the grown
+        # fragment without evaluating the view.
+        assert impact.mode == "patch" and not impact.splice
+        assert impact.reason == "fragment-content-overlap"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_untouched_verdict_is_sound(self, seed):
@@ -210,11 +272,27 @@ class TestPatcher:
         report = editor.insert_subtree(answer, XMLNode("i"))
         assert not report.full_reencode
         assert _view_modes(report) == {"VF": "patched"}
+        assert [entry.reason for entry in report.views] == [
+            "fragment-content-overlap"
+        ]
         (view,) = system.materialized_views()
         assert _stored_payloads(system, "VF") == _expected_payloads(system, view)
         # The grown fragment is visible to compensating evaluation.
         outcome = system.try_answer("//s/f[i]")
         assert outcome is not None and outcome.codes == [answer]
+
+    def test_delete_keeps_the_codes_of_later_siblings(self):
+        # The surviving c keeps code (0, 1), which is no longer the
+        # smallest component after nothing: its fragment payload must
+        # carry it, or the rewrite would report (0, 0).
+        system = MaterializedViewSystem(encode_tree(build_tree(("b", ["c", "c"]))))
+        system.register_view("V", "//b")
+        DocumentEditor(system).delete_subtree((0, 0))
+        assert system.direct_codes("//b/c") == [(0, 1)]
+        assert system.try_answer("//b/c").codes == [(0, 1)]
+        # A view registered after the delete stores the same bytes.
+        system.register_view("W", "/b")
+        assert _stored_payloads(system, "W") == _stored_payloads(system, "V")
 
     def test_untouched_view_payloads_not_rewritten(self):
         system = _system({"VT": "//b/t", "VP": "//s/p"})
@@ -284,6 +362,18 @@ class TestScopedInvalidation:
         stale = system.answer("//s/p", "MN")
         assert not stale.plan_cache_hit
         assert stale.codes == system.direct_codes("//s/p")
+
+    def test_schema_violating_insert_invalidates_plans_once(self):
+        system = _system({"VT": "//b/t", "VP": "//s/p"})
+        editor = DocumentEditor(system)
+        system.answer("//b/t")
+        report = editor.insert_subtree(
+            _first_section(system).dewey, XMLNode("zzz")
+        )
+        assert report.full_reencode
+        stats = system.stats()["plan_cache"]
+        assert stats["invalidations"] + stats["scoped_invalidations"] == 1
+        assert report.plans_dropped == 1
 
     def test_full_reencode_still_clears_everything(self):
         system = _system({"VT": "//b/t", "VP": "//s/p"})
@@ -457,19 +547,7 @@ def test_path_view_edits_never_reevaluate_over_the_whole_tree(monkeypatch):
     system.answer("//category/name")
     editor = DocumentEditor(system)
     document_size = len(list(system.document.tree.iter_nodes()))
-
-    def no_rebuild(*args):
-        raise AssertionError("a path view was rebuilt over the whole tree")
-
-    universes: list[int] = []
-    real_evaluate = patcher.evaluate
-
-    def scoped_evaluate(pattern, tree, universe):
-        universes.append(len(universe))
-        return real_evaluate(pattern, tree, universe)
-
-    monkeypatch.setattr(maintenance, "evaluate", no_rebuild)
-    monkeypatch.setattr(patcher, "evaluate", scoped_evaluate)
+    universes = _forbid_whole_tree_evaluate(monkeypatch)
     anchors = system.direct_codes("//category")
     for anchor in anchors[:5]:
         report = editor.insert_subtree(anchor, XMLNode("name", text="edit"))
@@ -480,21 +558,119 @@ def test_path_view_edits_never_reevaluate_over_the_whole_tree(monkeypatch):
     assert universes and max(universes) < document_size // 10
 
 
+#: Branching views shaped like the repository benchmark's costliest
+#: ones: a predicate near the root and the answer near the root.
+BRANCHING_VIEWS = {
+    "Bregions": "/site[regions]/*",
+    "Bdate": "/*[open_auctions[.//date]]/*",
+    "Bcatgraph": "/*[catgraph]/*",
+    "Bcategory": "/site[*[category]]/*",
+    "Bdeep": "//person[profile/age]/name",
+}
+
+
+def test_branching_view_edits_never_reevaluate_over_the_whole_tree(monkeypatch):
+    system = _xmark_system(view_count=30)
+    system.register_views(BRANCHING_VIEWS)
+    materialized = {view.view_id for view in system.materialized_views()}
+    assert set(BRANCHING_VIEWS) <= materialized
+    editor = DocumentEditor(system)
+    document_size = len(list(system.document.tree.iter_nodes()))
+    universes = _forbid_whole_tree_evaluate(monkeypatch)
+    sites = [
+        node
+        for node in system.document.tree.iter_nodes()
+        if node.depth() >= 3 and node.subtree_size() <= 6
+    ]
+    rng = random.Random(7)
+    maintained: set[str] = set()
+    for site in rng.sample(sites, 12):
+        if site.parent is None or site.dewey is None:
+            continue  # an earlier edit of this loop detached it
+        parent, subtree = site.parent, site
+        delete = editor.delete_subtree(site.dewey)
+        insert = editor.insert_subtree(parent.dewey, subtree)
+        for report in (delete, insert):
+            assert not report.full_reencode
+            assert all(v.mode == "patched" for v in report.views), report.views
+            maintained |= set(report.affected_views)
+    # The root-predicate views store the document's top-level sections,
+    # so every edit re-encodes one of their fragments in place.
+    assert {"Bregions", "Bdate", "Bcatgraph", "Bcategory"} <= maintained
+    assert all(size < document_size // 10 for size in universes)
+
+
+def test_predicate_flip_splices_under_the_flipped_ancestor(monkeypatch):
+    system = _xmark_system(view_count=0, seed_views=False)
+    view_id = "Vdate"
+    system.register_view(view_id, "//closed_auctions/closed_auction[.//date]")
+    (view,) = system.materialized_views()
+    editor = DocumentEditor(system)
+    universes = _forbid_whole_tree_evaluate(monkeypatch)
+    auction = system.document.tree.nodes_with_label("closed_auction")[0]
+    (date,) = [
+        node for node in auction.iter_subtree() if node.label == "date"
+    ]
+    before = system.fragments.codes(view_id)
+    assert auction.dewey in before
+
+    report = editor.delete_subtree(date.dewey)
+    (entry,) = report.views
+    assert (entry.mode, entry.reason, entry.splice) == (
+        "patched", "predicate-flip", True
+    )
+    # One scoped evaluation: the flipped auction's subtree plus its
+    # ancestors, not the document.
+    assert universes == [auction.subtree_size() + auction.depth()]
+    assert system.fragments.codes(view_id) == [
+        code for code in before if code != auction.dewey
+    ]
+    assert _stored_payloads(system, view_id) == _expected_payloads(system, view)
+
+    report = editor.insert_subtree(auction.dewey, XMLNode("date", text="01/01/2001"))
+    (entry,) = report.views
+    assert (entry.reason, entry.splice) == ("predicate-flip", True)
+    assert system.fragments.codes(view_id) == before
+    assert _stored_payloads(system, view_id) == _expected_payloads(system, view)
+
+
 # ----------------------------------------------------------------------
 # property: random edit sequences keep every view byte-identical
 # ----------------------------------------------------------------------
+def _branching_view(rng: random.Random, root_label: str) -> TreePattern:
+    """A view with a predicate at its root (``/r[x]/*``-like) or a
+    ``//`` branch under a ``//`` spine (``//x[.//y]/z``-like)."""
+    labels = "abcd"
+    if rng.random() < 0.5:
+        root = PatternNode(root_label, Axis.CHILD)
+        predicate = root.new_child(rng.choice(labels), rng.choice(list(Axis)))
+        if rng.random() < 0.5:
+            predicate.new_child(rng.choice(labels), Axis.DESCENDANT)
+        answer = root.new_child(rng.choice(labels + "*"), Axis.CHILD)
+    else:
+        root = PatternNode(rng.choice(labels + "*"), Axis.DESCENDANT)
+        root.new_child(rng.choice(labels), Axis.DESCENDANT)
+        answer = root.new_child(rng.choice(labels), rng.choice(list(Axis)))
+    return TreePattern(root, answer)
+
+
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.integers(0, 10**9))
+@example(2146)  # a delete once left a later sibling with a wrong code
 def test_random_edit_sequences_keep_views_byte_identical(seed):
     rng = random.Random(seed)
     tree = random_tree(rng, max_nodes=25, max_depth=4)
     system = MaterializedViewSystem(encode_tree(tree))
     for index in range(4):
         system.register_view(f"v{index}", random_pattern(rng, max_nodes=4))
+    for index in range(2):
+        system.register_view(
+            f"b{index}", _branching_view(rng, system.document.tree.root.label)
+        )
     editor = DocumentEditor(system)
     for _ in range(3):
         nodes = list(system.document.tree.iter_nodes())

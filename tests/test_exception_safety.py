@@ -98,23 +98,25 @@ class TestInsertFailure:
 
 
 class TestRefreshFailure:
+    # Deleting a stored answer patches both views in place: the
+    # failure is injected at the patch's store write.
     def test_failed_rematerialization_evicts_the_view(self, monkeypatch):
         system = _book_system()
         editor = DocumentEditor(system)
         _warm(system)
-        original = system.fragments.materialize
+        original = system.fragments.replace
 
-        def boom(view_id, entries):
+        def boom(view_id, fragments):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, entries)
+            return original(view_id, fragments)
 
-        monkeypatch.setattr(system.fragments, "materialize", boom)
+        monkeypatch.setattr(system.fragments, "replace", boom)
         target = system.answer("//s[f//i]/p").codes[0]
         with pytest.raises(RuntimeError):
             editor.delete_subtree(target)
-        # V1's fragments were dropped before the failure; leaving it in
-        # the answerable pool would rewrite queries against nothing.
+        # V1's fragments still hold the deleted answer; leaving it in
+        # the answerable pool would rewrite queries against them.
         assert "V1" not in [v.view_id for v in system._materialized]
         assert "V1" not in system.vfilter.filter(
             parse_xpath("//s[t]/p")
@@ -125,14 +127,14 @@ class TestRefreshFailure:
         system = _book_system()
         editor = DocumentEditor(system)
         _warm(system)
-        original = system.fragments.materialize
+        original = system.fragments.replace
 
-        def boom(view_id, entries):
+        def boom(view_id, fragments):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, entries)
+            return original(view_id, fragments)
 
-        monkeypatch.setattr(system.fragments, "materialize", boom)
+        monkeypatch.setattr(system.fragments, "replace", boom)
         target = system.answer("//s[f//i]/p").codes[0]
         with pytest.raises(RuntimeError):
             editor.delete_subtree(target)
@@ -151,11 +153,51 @@ class TestRefreshFailure:
         _warm(system)
         monkeypatch.setattr(
             system.fragments,
-            "materialize",
-            lambda view_id, entries: False,  # every view outgrows the cap
+            "replace",
+            lambda view_id, fragments: False,  # every view outgrows the cap
         )
         first_s = system.document.tree.root.children[1]
         report = editor.insert_subtree(first_s.dewey, XMLNode("p"))
+        assert report.affected_views
         for view_id in report.affected_views:
             assert view_id not in [v.view_id for v in system._materialized]
+        assert len(system._plan_cache) == 0
+
+    def test_failed_rebuild_evicts_the_view(self, monkeypatch):
+        # A schema-violating insert rebuilds every view over the whole
+        # document: the failure is injected at the rebuild's store
+        # write.
+        system = _book_system()
+        editor = DocumentEditor(system)
+        _warm(system)
+        original = system.fragments.materialize
+
+        def boom(view_id, entries):
+            if view_id == "V1":
+                raise RuntimeError("store failed")
+            return original(view_id, entries)
+
+        monkeypatch.setattr(system.fragments, "materialize", boom)
+        first_s = system.document.tree.root.children[1]
+        with pytest.raises(RuntimeError):
+            editor.insert_subtree(first_s.dewey, XMLNode("z"))
+        assert "V1" not in [v.view_id for v in system._materialized]
+        assert len(system._plan_cache) == 0
+        monkeypatch.undo()
+        outcome = system.answer("//s[f//i]/p")
+        assert outcome.codes == system.direct_codes("//s[f//i]/p")
+
+    def test_capped_rebuild_evicts_the_view(self, monkeypatch):
+        system = _book_system()
+        editor = DocumentEditor(system)
+        _warm(system)
+        monkeypatch.setattr(
+            system.fragments,
+            "materialize",
+            lambda view_id, entries: False,
+        )
+        first_s = system.document.tree.root.children[1]
+        report = editor.insert_subtree(first_s.dewey, XMLNode("z"))
+        assert report.full_reencode
+        assert not system._materialized
         assert len(system._plan_cache) == 0
