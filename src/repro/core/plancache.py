@@ -185,6 +185,13 @@ class PlanCache:
     def enabled(self) -> bool:
         return self.maxsize > 0
 
+    def contains(self, query_key: str, strategy: str) -> bool:
+        """Whether a plan is cached, without counting a hit or miss or
+        touching the LRU order (the served path's probe; the answer
+        call that follows does the counting ``get``)."""
+        with self._lock:
+            return (query_key, strategy) in self._entries
+
     def get(self, query_key: str, strategy: str) -> PlanEntry | None:
         """Return the cached plan and count the hit/miss."""
         with self._lock:

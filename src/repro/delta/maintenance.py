@@ -17,8 +17,8 @@ the entire document.  This module replaces that with delta propagation:
 3. patchable views are spliced in place by packed-Dewey range
    (:mod:`repro.delta.patcher`) after evaluating the pattern under the
    scope only; payloads are encoded once per edit and shared across
-   views.  Only capped views and schema-violating inserts pay a
-   re-evaluation over the whole document;
+   views.  Only schema-violating inserts pay a re-evaluation over the
+   whole document (a view the cap evicts leaves the pool for good);
 4. the plan cache is invalidated *scoped*: only plans whose recorded
    view dependencies intersect the affected set (plus plans with no
    recorded filter provenance) are dropped — the single invalidation

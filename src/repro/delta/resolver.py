@@ -67,8 +67,14 @@ ancestors, and the *support*: one post-edit embedding of the branches
 of every ``pi`` at every ancestor that hosts it (recorded by the
 no-flip tests, which hold both before and after the edit).  Every chain
 ending under the scope is then witnessed within that universe.  Only
-capped views (nothing stored to patch) and schema-violating inserts
-(every code changes) are still rebuilt over the whole document.
+schema-violating inserts (every code changes) are still rebuilt over
+the whole document.  ``views`` is the epoch's answerable pool, so no
+capped view reaches the resolver: the edit that pushes a view's
+fragments past the cap evicts it from the pool, and it stays out for
+good.  It keeps its catalog entry, so no later edit lists it as
+affected or skipped, and serving it again takes a registration under a
+new id.  ``MaterializedViewSystem.reopen`` keeps a capped view out in
+the same way.
 """
 
 from __future__ import annotations
@@ -151,11 +157,6 @@ def resolve_affected(
     for view in views:
         view_id = view.view_id
         if view_id in answer_hits:
-            if fragments.is_capped(view_id):
-                # A capped view stores nothing to patch; a full rebuild
-                # may also un-cap it if the edit shrank its fragments.
-                impacts.append(ViewImpact(view, "rebuild", "capped-view"))
-                continue
             if edit is None:
                 edit = _Edit(delta)
             impact = edit.classify(view)

@@ -15,12 +15,21 @@ participant drains, runs with exclusive access, and then reopens the
 gate.  Maintenance requests also *bar the door* — new participants
 queue behind a waiting maintainer so a steady read stream cannot
 starve it.
+
+Plan-cache hits have a second, non-waiting way in:
+:meth:`SnapshotEngine.warm_hit` enters the gate only when no
+maintainer holds or waits for it, pins the epoch *inside* the gate
+(so no edit can land between the probe and the answer) and answers
+only when that epoch's plan cache holds the plan.  Everything else
+takes :meth:`SnapshotEngine.answer`, which waits at the gate.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, TypeVar
+from contextlib import contextmanager
+from functools import partial
+from typing import Callable, Iterator, TypeVar
 
 from ..core.system import AnswerOutcome, MaterializedViewSystem
 from ..obs import current_trace
@@ -29,6 +38,9 @@ from ..xpath.pattern import TreePattern
 __all__ = ["SnapshotEngine"]
 
 T = TypeVar("T")
+
+#: An answer call bound to one pinned epoch: ``(pattern, strategy)``.
+Answerer = Callable[[TreePattern, str], AnswerOutcome]
 
 
 class SnapshotEngine:
@@ -52,6 +64,15 @@ class SnapshotEngine:
             while self._maintaining or self._maintenance_waiting:
                 self._gate.wait()
             self._active += 1
+
+    def _try_enter_shared(self) -> bool:
+        """Enter shared unless a maintainer holds or waits for the
+        gate; never waits."""
+        with self._gate:
+            if self._maintaining or self._maintenance_waiting:
+                return False
+            self._active += 1
+            return True
 
     def _exit_shared(self) -> None:
         with self._gate:
@@ -82,6 +103,33 @@ class SnapshotEngine:
             self._enter_shared()
         try:
             return self._system.answer(query, strategy)
+        finally:
+            self._exit_shared()
+
+    @contextmanager
+    def warm_hit(
+        self, query_key: str, strategy: str
+    ) -> Iterator[Answerer | None]:
+        """Shared entry for a plan-cache hit, taken without waiting.
+
+        Yields an answer function bound to the current epoch when the
+        gate admits a reader at once and that epoch's plan cache holds
+        ``(query_key, strategy)``.  Yields None when a maintainer holds
+        or waits for the gate, or the plan is not cached; the caller
+        then takes :meth:`answer`.  The function is valid only inside
+        the ``with`` block, which holds the shared gate.  The probe
+        counts nothing: the answer call counts the read's one plan-cache
+        hit (or its miss, had an eviction raced the probe).
+        """
+        if not self._try_enter_shared():
+            yield None
+            return
+        try:
+            epoch = self._system.current_epoch()
+            if epoch.plan_cache.contains(query_key, strategy):
+                yield partial(self._system.answer, epoch=epoch)
+            else:
+                yield None
         finally:
             self._exit_shared()
 

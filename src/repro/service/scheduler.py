@@ -1,7 +1,13 @@
 """Admission control, deadlines and request coalescing.
 
 :class:`QueryScheduler` owns a pool of worker threads draining a
-*bounded* queue.  Three service-level policies live here:
+*bounded* queue.  A read whose plan is already cached skips the pool:
+``submit`` answers it on the calling thread against the epoch it
+probed (:meth:`SnapshotEngine.warm_hit`), since the hand-off to a
+worker and back would cost far more than the answer.  The probe never
+waits at the engine gate: while a maintainer holds or waits for it,
+hits take the queue like every miss, so their deadlines still apply.
+Three service-level policies govern the queued path:
 
 * **Backpressure** — when the queue is full, ``submit`` fails fast
   with :class:`AdmissionRejectedError` carrying a ``retry_after`` hint
@@ -21,10 +27,13 @@
   fresh instances so tracebacks are not shared across threads.
 
 **Telemetry.**  The scheduler is the trace root: admission creates a
-:class:`~repro.obs.trace.Trace` for each flight's leader, the worker
-activates it around the engine call (so every span the derivation
-pipeline opens lands in that trace), and completion feeds the slow-
-query log.  Counters and latency histograms live in the system's
+:class:`~repro.obs.trace.Trace` for each flight's leader (or for an
+inline hit), the thread that answers activates it around the engine
+call (so every span the derivation pipeline opens lands in that
+trace), and completion feeds the slow-query log.  Inline hits count
+``submitted`` and ``completed``/``failed`` like flights, plus
+``inline``; queued flights feed the ``repro_queue_wait_seconds``
+histogram.  Counters and latency histograms live in the system's
 shared :class:`~repro.obs.registry.MetricsRegistry` — the same cells
 ``GET /metrics`` exposes — with a construction-time baseline so
 :meth:`stats` stays per-scheduler even though the registry is shared.
@@ -43,6 +52,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from functools import partial
+from typing import Callable
 
 from ..core.system import AnswerOutcome
 from ..errors import ReproError, ViewNotAnswerableError
@@ -62,8 +73,9 @@ _EWMA_KEEP = 0.8
 #: Optimistic prior for the first retry-after estimate, seconds.
 _EWMA_PRIOR = 0.005
 
-#: Request lifecycle events counted in ``repro_requests_total``.
-_EVENTS = ("submitted", "coalesced", "completed", "failed")
+#: Request lifecycle events counted in ``repro_requests_total``;
+#: ``inline`` counts the plan-cache hits answered on the calling thread.
+_EVENTS = ("submitted", "coalesced", "inline", "completed", "failed")
 #: Rejection reasons counted in ``repro_requests_rejected_total``:
 #: ``queue_full`` → 503, ``deadline`` (waiter timed out) → 504,
 #: ``expired_in_queue`` (worker dropped the flight unevaluated).
@@ -193,7 +205,7 @@ class QueryScheduler:
         self._flights: dict[tuple[str, str], _Flight] = {}
         #: guarded-by: _lock
         self._ewma = _EWMA_PRIOR
-        #: guarded-by: _lock
+        #: guarded-by: _lock (writes)
         self._closed = False
         registry = telemetry.registry
         self._events_total = registry.counter(
@@ -210,8 +222,13 @@ class QueryScheduler:
         )
         self._request_hist = registry.histogram(
             "repro_request_seconds",
-            "Engine service time of executed flights, by outcome.",
+            "Engine service time of executed flights and inline hits, "
+            "by outcome.",
             ("status",),
+        )
+        self._queue_wait_hist = registry.histogram(
+            "repro_queue_wait_seconds",
+            "Time queued flights spent in the admission queue.",
         )
         registry.gauge(
             "repro_queue_depth",
@@ -220,7 +237,7 @@ class QueryScheduler:
         )
         registry.gauge(
             "repro_ewma_service_seconds",
-            "EWMA of recent engine service time.",
+            "EWMA of recent queued flights' engine service time.",
             fn=self._ewma_value,
         )
         # stats() is per-scheduler; the registry cells are shared with
@@ -252,18 +269,26 @@ class QueryScheduler:
         strategy: str = "HV",
         timeout: float | None = None,
     ) -> AnswerOutcome:
-        """Answer ``query`` through the pool, blocking the caller.
+        """Answer ``query``, blocking the caller.
 
         Parses (and so syntax-validates) the query in the calling
-        thread before admission, then either joins an in-flight
-        request with the same canonical key or enqueues a new flight.
+        thread.  A plan-cache hit is then answered right here, unless a
+        maintainer holds or waits for the engine gate.  Any other read
+        either joins an in-flight request with the same canonical key
+        or enqueues a new flight.
         """
         pattern = (
             query if isinstance(query, TreePattern) else parse_xpath(query)
         )
+        key = (pattern.canonical_string(), strategy)
+        if not self._closed:
+            with self._engine.warm_hit(key[0], strategy) as answer:
+                if answer is not None:
+                    return self._serve_inline(
+                        key, partial(answer, pattern, strategy)
+                    )
         budget = self._default_timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
-        key = (pattern.canonical_string(), strategy)
 
         leader = False
         coalesced = False
@@ -384,7 +409,10 @@ class QueryScheduler:
             flight = self._queue.get()
             if flight is None:
                 return
-            if time.monotonic() >= flight.deadline:
+            dequeued = time.monotonic()
+            queue_wait = dequeued - flight.created
+            self._queue_wait_hist.observe(queue_wait)
+            if dequeued >= flight.deadline:
                 with self._lock:
                     retry_after = self._retry_after_locked()
                 self._rejected_total.inc(1.0, "expired_in_queue")
@@ -396,46 +424,81 @@ class QueryScheduler:
                     ),
                 )
                 continue
-            queue_wait = time.monotonic() - flight.created
-            started = self._clock.monotonic()
             try:
-                with flight.trace.activate():
-                    with flight.trace.span(
-                        "serve",
-                        query=flight.key[0],
-                        strategy=flight.strategy,
-                    ) as span:
-                        span.attributes["queue_wait_seconds"] = queue_wait
-                        outcome = self._engine.answer(
-                            flight.pattern, flight.strategy
-                        )
+                outcome, elapsed = self._execute(
+                    flight.trace,
+                    flight.key,
+                    partial(
+                        self._engine.answer, flight.pattern, flight.strategy
+                    ),
+                    queue_wait_seconds=queue_wait,
+                )
             except BaseException as error:
-                elapsed = self._clock.monotonic() - started
-                self._request_hist.observe(elapsed, "error")
-                self._record_slow(flight, None, error, elapsed)
                 self._finish(flight, error=error)
             else:
-                elapsed = self._clock.monotonic() - started
                 with self._lock:
                     self._ewma = (
                         _EWMA_KEEP * self._ewma
                         + (1.0 - _EWMA_KEEP) * elapsed
                     )
-                self._request_hist.observe(elapsed, "ok")
-                self._record_slow(flight, outcome, None, elapsed)
                 self._finish(flight, outcome=outcome)
+
+    def _serve_inline(
+        self, key: tuple[str, str], call: Callable[[], AnswerOutcome]
+    ) -> AnswerOutcome:
+        """Answer a plan-cache hit on the calling thread, counted and
+        recorded like a flight of one."""
+        self._events_total.inc(1.0, "submitted")
+        self._events_total.inc(1.0, "inline")
+        try:
+            outcome, _elapsed = self._execute(
+                self._tracer.trace(), key, call
+            )
+        except BaseException:
+            self._events_total.inc(1.0, "failed")
+            raise
+        self._events_total.inc(1.0, "completed")
+        return outcome
+
+    def _execute(
+        self,
+        trace: Trace,
+        key: tuple[str, str],
+        call: Callable[[], AnswerOutcome],
+        **attributes: float,
+    ) -> tuple[AnswerOutcome, float]:
+        """Run one engine call under ``trace``'s root ``serve`` span,
+        observe its service time and record it in the slow log.
+        Returns (outcome, seconds); re-raises the call's error."""
+        started = self._clock.monotonic()
+        try:
+            with trace.activate():
+                with trace.span(
+                    "serve", query=key[0], strategy=key[1], **attributes
+                ):
+                    outcome = call()
+        except BaseException as error:
+            elapsed = self._clock.monotonic() - started
+            self._request_hist.observe(elapsed, "error")
+            self._record_slow(trace, key, None, error, elapsed)
+            raise
+        elapsed = self._clock.monotonic() - started
+        self._request_hist.observe(elapsed, "ok")
+        self._record_slow(trace, key, outcome, None, elapsed)
+        return outcome, elapsed
 
     def _record_slow(
         self,
-        flight: _Flight,
+        trace: Trace,
+        key: tuple[str, str],
         outcome: AnswerOutcome | None,
         error: BaseException | None,
         elapsed: float,
     ) -> None:
         self._slowlog.record(SlowQueryRecord(
-            trace_id=flight.trace.trace_id,
-            query=flight.key[0],
-            strategy=flight.strategy,
+            trace_id=trace.trace_id,
+            query=key[0],
+            strategy=key[1],
             status="ok" if error is None else type(error).__name__,
             total_seconds=elapsed,
             wall_time=self._clock.wall(),
@@ -449,7 +512,7 @@ class QueryScheduler:
             stage_seconds=(
                 dict(outcome.stage_seconds) if outcome is not None else {}
             ),
-            spans=flight.trace.span_tree(),
+            spans=trace.span_tree(),
         ))
 
     def _finish(

@@ -20,12 +20,25 @@ Endpoints:
 The handler delegates every status decision to
 :func:`repro.service.protocol.error_payload`, so the HTTP layer stays
 a thin socket adapter that tests can bypass entirely.
+
+Connections are kept alive (HTTP/1.1): a client reuses one TCP
+connection, and with it one handler thread, for all its requests.
+Every response carries ``Content-Length``, and TCP_NODELAY is set:
+headers and body leave in separate writes, and without it Nagle's
+algorithm holds the body back for the client's delayed ACK (~40 ms
+per request).  A request whose body is refused unread (413, or a
+missing or malformed ``Content-Length``) gets ``Connection: close``,
+since its unread bytes would otherwise be parsed as the next request.
+:meth:`QueryServiceServer.shutdown` shuts every open connection down,
+so idle kept-alive handlers end with the server.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs
@@ -47,10 +60,14 @@ __all__ = ["QueryServiceServer"]
 
 #: Request bodies past this size are rejected before reading (413).
 _MAX_BODY_BYTES = 1 << 20
+#: How long ``shutdown`` waits, in total, for handler threads to end.
+_HANDLER_JOIN_SECONDS = 5.0
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1.0"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     #: Injected by :class:`QueryServiceServer` via subclassing.
     service: "QueryServiceServer"
 
@@ -61,6 +78,23 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.verbose:
             super().log_message(format, *args)
 
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        payload: bytes,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
     def _send_json(
         self,
         status: int,
@@ -68,21 +102,31 @@ class _Handler(BaseHTTPRequestHandler):
         headers: dict[str, str] | None = None,
     ) -> None:
         payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        self._send(status, "application/json", payload, headers)
 
     def _send_error(self, error: BaseException) -> None:
         status, body, headers = error_payload(error)
         self._send_json(status, body, headers)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body.  A body left unread would be parsed as the
+        next request on this connection, so every case that does not
+        read it closes the connection after the response."""
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            self.close_connection = True
+            return b""
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ProtocolError(
+                "Content-Length must be a non-negative integer"
+            )
         if length > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise ProtocolError("request body too large", status=413)
         return self.rfile.read(length)
 
@@ -131,13 +175,9 @@ class _Handler(BaseHTTPRequestHandler):
         payload = render_prometheus(
             telemetry.registry.collect()
         ).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send(
+            200, "text/plain; version=0.0.4; charset=utf-8", payload
         )
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
 
     def _send_slowlog(self, query_string: str) -> None:
         params = parse_qs(query_string)
@@ -186,6 +226,54 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(error)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A threading server that knows its open connections.
+
+    ``ThreadingHTTPServer`` neither tracks nor joins its daemon handler
+    threads, so a kept-alive connection would outlive ``shutdown`` and
+    keep being served.  This one records each connection with its
+    handler thread until the handler closes it.
+    """
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        handler: type[BaseHTTPRequestHandler],
+    ) -> None:
+        super().__init__(address, handler)
+        self._connections_lock = threading.Lock()
+        #: guarded-by: _connections_lock
+        self._connections: dict[Any, threading.Thread] = {}
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> list[threading.Thread]:
+        """Shut every open connection down (a handler waiting for the
+        next request reads end-of-file and exits; one mid-request
+        finishes it, then exits) and return their handler threads."""
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for connection, _thread in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - already closed
+                pass
+        return [thread for _connection, thread in connections]
+
+
 class QueryServiceServer:
     """Owns the listening socket; start/serve/shutdown lifecycle."""
 
@@ -209,7 +297,7 @@ class QueryServiceServer:
             pass
 
         _BoundHandler.service = service
-        self._httpd = ThreadingHTTPServer((host, port), _BoundHandler)
+        self._httpd = _HTTPServer((host, port), _BoundHandler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -234,14 +322,19 @@ class QueryServiceServer:
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop accepting, join the serve thread, close the socket and
-        the scheduler's worker pool."""
+        """Stop accepting, join the serve thread, end the open
+        connections, close the scheduler's worker pool (queued flights
+        drain first), join the handler threads and close the socket."""
         self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        self._httpd.server_close()
+        handlers = self._httpd.end_connections()
         self.scheduler.close()
+        deadline = time.monotonic() + _HANDLER_JOIN_SECONDS
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        self._httpd.server_close()
 
     def __enter__(self) -> "QueryServiceServer":
         self.start()

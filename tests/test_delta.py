@@ -634,6 +634,34 @@ def test_predicate_flip_splices_under_the_flipped_ancestor(monkeypatch):
     assert _stored_payloads(system, view_id) == _expected_payloads(system, view)
 
 
+def test_view_evicted_by_the_cap_stays_out_of_later_edits(book_doc):
+    """A view whose patched fragments outgrow the cap leaves the
+    answerable pool for good: no later edit lists it as affected or as
+    skipped (not even once deletes shrink its answers back under the
+    cap), and the remaining views still answer like evaluation."""
+    system = MaterializedViewSystem(book_doc, fragment_cap=60)
+    system.register_views({"V": "//s[t]/p", "W": "//s/f"})
+    editor = DocumentEditor(system)
+    section = system.document.tree.root.children[3]
+    assert editor.insert_subtree(section.dewey, XMLNode("p")).affected_views == ["V"]
+    assert [view.view_id for view in system.materialized_views()] == ["V", "W"]
+    evicting = editor.insert_subtree(section.dewey, XMLNode("p"))
+    assert evicting.affected_views == ["V"]
+    assert system.fragments.is_capped("V")
+    assert [view.view_id for view in system.materialized_views()] == ["W"]
+
+    later = [editor.insert_subtree(section.dewey, XMLNode("p"))]
+    for _ in range(3):
+        later.append(editor.delete_subtree(section.children[-1].dewey))
+    for report in later:
+        assert "V" not in report.affected_views
+        assert "V" not in report.skipped_views
+        assert report.skipped_views == ["W"]
+    assert [view.view_id for view in system.materialized_views()] == ["W"]
+    assert system.try_answer("//s[t]/p") is None
+    assert system.answer("//s/f").codes == system.direct_codes("//s/f")
+
+
 # ----------------------------------------------------------------------
 # property: random edit sequences keep every view byte-identical
 # ----------------------------------------------------------------------

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.core.system import AnswerOutcome
+from repro.core.system import AnswerOutcome, MaterializedViewSystem
 from repro.errors import ViewNotAnswerableError, XPathSyntaxError
 from repro.service import (
     AdmissionRejectedError,
@@ -25,6 +26,9 @@ from repro.service import (
     run_closed_loop,
     zipf_weights,
 )
+
+from repro.workload.xmark import generate_xmark
+from repro.xmltree.builder import encode_tree
 
 from conftest import xmark_twin
 
@@ -53,6 +57,10 @@ class _FakeEngine:
         return AnswerOutcome(
             codes=[(1, 2), (1, 3)], strategy=strategy, epoch_seq=7
         )
+
+    @contextmanager
+    def warm_hit(self, query_key, strategy):
+        yield None  # no plan cache: every read takes the worker pool
 
 
 @pytest.fixture
@@ -228,6 +236,166 @@ def test_coalescing_can_be_disabled(engine):
         fast = [key for key in engine.calls if "slow" not in key]
         assert engine.calls[fast[0]] == 3
         assert scheduler.stats()["coalesced"] == 0
+    finally:
+        scheduler.close()
+
+
+# ----------------------------------------------------------------------
+# plan-cache hits answered on the calling thread
+# ----------------------------------------------------------------------
+class _CountingEngine(SnapshotEngine):
+    """A real engine whose worker-side ``answer`` is counted and can be
+    held on a latch (hits answered inline never call it)."""
+
+    def __init__(self, system) -> None:
+        super().__init__(system)
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+
+    def answer(self, query, strategy="HV"):
+        self.calls += 1
+        self.entered.set()
+        assert self.release.wait(timeout=10.0)
+        return super().answer(query, strategy)
+
+
+@pytest.fixture
+def served_twin():
+    system = xmark_twin()
+    engine = _CountingEngine(system)
+    queries = build_query_mix(system, limit=4)
+    yield system, engine, queries
+    engine.release.set()
+
+
+def _plan_lookups(system) -> int:
+    plan = system.stats()["plan_cache"]
+    return plan["hits"] + plan["misses"]
+
+
+def test_warm_hit_never_reaches_a_worker(served_twin):
+    system, engine, queries = served_twin
+    scheduler = QueryScheduler(engine, workers=2, queue_limit=8)
+    try:
+        cold = scheduler.submit(queries[0])
+        assert not cold.plan_cache_hit and engine.calls == 1
+        for _ in range(5):
+            warm = scheduler.submit(queries[0])
+            assert warm.plan_cache_hit
+            assert warm.codes == cold.codes
+        assert engine.calls == 1
+        stats = scheduler.stats()
+        assert stats["inline"] == 5
+        assert stats["submitted"] == stats["completed"] == 6
+    finally:
+        scheduler.close()
+
+
+def test_closed_scheduler_refuses_hits_too(served_twin):
+    system, engine, queries = served_twin
+    scheduler = QueryScheduler(engine, workers=1, queue_limit=8)
+    scheduler.submit(queries[0])
+    scheduler.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        scheduler.submit(queries[0])
+    assert scheduler.stats()["inline"] == 0
+
+
+def test_saturated_queue_rejects_misses_but_serves_hits(served_twin):
+    system, engine, queries = served_twin
+    scheduler = QueryScheduler(engine, workers=1, queue_limit=1)
+    threads: list[threading.Thread] = []
+    try:
+        scheduler.submit(queries[0])
+        engine.release.clear()
+        engine.entered.clear()
+        for query in queries[1:3]:
+            thread = threading.Thread(
+                target=scheduler.submit, args=(query,),
+                kwargs={"timeout": 30.0},
+            )
+            thread.start()
+            threads.append(thread)
+            if query == queries[1]:
+                assert engine.entered.wait(timeout=5.0)  # worker parked
+        deadline = time.monotonic() + 5.0
+        while scheduler.stats()["queue_depth"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(AdmissionRejectedError):
+            scheduler.submit(queries[3], timeout=30.0)
+        hit = scheduler.submit(queries[0], timeout=30.0)
+        assert hit.plan_cache_hit
+        stats = scheduler.stats()
+        assert (stats["rejected"], stats["inline"]) == (1, 1)
+    finally:
+        engine.release.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        scheduler.close()
+
+
+def test_hit_falls_back_to_the_queue_while_a_maintainer_holds_the_gate(
+    served_twin,
+):
+    system, engine, queries = served_twin
+    scheduler = QueryScheduler(engine, workers=1, queue_limit=8)
+    holding = threading.Event()
+    release = threading.Event()
+
+    def hold(_system) -> None:
+        holding.set()
+        assert release.wait(timeout=10.0)
+
+    maintainer = threading.Thread(target=engine.maintain, args=(hold,))
+    try:
+        scheduler.submit(queries[0])
+        maintainer.start()
+        assert holding.wait(timeout=5.0)
+        with pytest.raises(DeadlineExceededError):
+            scheduler.submit(queries[0], timeout=0.05)
+        stats = scheduler.stats()
+        assert stats["inline"] == 0
+        assert stats["deadline_waits"] == 1
+        assert engine.calls == 2  # the hit went to the worker
+        release.set()
+        maintainer.join(timeout=10.0)
+        # The gate is open again: the same read is served inline.
+        assert scheduler.submit(queries[0]).plan_cache_hit
+        assert scheduler.stats()["inline"] == 1
+    finally:
+        release.set()
+        if maintainer.ident is not None:
+            maintainer.join(timeout=10.0)
+        scheduler.close()
+
+
+def test_every_read_counts_exactly_one_plan_lookup():
+    system = MaterializedViewSystem(
+        encode_tree(generate_xmark(scale=0.05, seed=3))
+    )
+    system.register_view("name", "//item/name")
+    scheduler = QueryScheduler(
+        _CountingEngine(system), workers=2, queue_limit=8
+    )
+    # Hits (inline) and misses (queued); the view cannot answer
+    # ``//name`` or ``//no/such``, so their repeats are cached negatives.
+    reads = ["//item/name", "//item/name", "//name", "//no/such",
+             "//no/such", "//name", "//item/name"]
+    try:
+        for query in reads:
+            before = _plan_lookups(system)
+            try:
+                scheduler.submit(query)
+            except ViewNotAnswerableError:
+                pass
+            assert _plan_lookups(system) == before + 1, query
+        stats = scheduler.stats()
+        assert stats["inline"] == 4
+        assert stats["submitted"] == len(reads)
+        assert stats["failed"] == 4
     finally:
         scheduler.close()
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
+import time
 
 import pytest
 
@@ -214,8 +216,11 @@ def test_metrics_endpoint_serves_prometheus_text(served):
     assert sum(answers.samples.values()) >= 1.0
     requests = families["repro_requests_total"]
     assert (requests.value(event="completed") or 0.0) >= 1.0
+    # The second read of a query is a plan-cache hit served inline.
+    assert (requests.value(event="inline") or 0.0) >= 1.0
     assert "repro_stage_seconds" in families
     assert "repro_queue_depth" in families
+    assert "repro_queue_wait_seconds" in families
 
 
 def test_debug_slow_exposes_traced_requests(served):
@@ -237,3 +242,111 @@ def test_debug_slow_exposes_traced_requests(served):
 def test_debug_slow_rejects_bad_limit(served):
     assert _call(served, "GET", "/debug/slow?limit=frog")[0] == 400
     assert _call(served, "GET", "/debug/slow?limit=-1")[0] == 400
+
+
+# ----------------------------------------------------------------------
+# keep-alive connections
+# ----------------------------------------------------------------------
+def test_keep_alive_serves_many_requests_on_one_socket(served):
+    """HTTP/1.1 keeps the connection; TCP_NODELAY keeps each response
+    from waiting on the client's delayed ACK (~40 ms with Nagle)."""
+    host, port = served.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    body = json.dumps({"query": "//item/name"})
+    headers = {"Content-Type": "application/json"}
+    try:
+        socket_ids = set()
+        latencies = []
+        for _ in range(200):
+            started = time.perf_counter()
+            connection.request("POST", "/query", body, headers)
+            response = connection.getresponse()
+            response.read()
+            latencies.append(time.perf_counter() - started)
+            assert response.status == 200
+            socket_ids.add(id(connection.sock))
+        assert len(socket_ids) == 1
+        assert max(latencies) < 0.040, sorted(latencies)[-5:]
+    finally:
+        connection.close()
+
+
+def test_unread_oversize_body_closes_the_connection(served):
+    """A 413 leaves the body unread; the server must close rather than
+    parse those bytes as the next request."""
+    host, port = served.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", "/query")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", str((1 << 20) + 1))
+        connection.endheaders(b"x" * 4096)
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 413
+        assert response.getheader("Connection") == "close"
+        connection.request(
+            "POST", "/query", json.dumps({"query": "//item/name"}),
+            {"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("length", ["soon", "-1", None])
+def test_missing_or_malformed_content_length_closes_the_connection(
+    served, length
+):
+    host, port = served.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", "/query")
+        if length is not None:
+            connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+    finally:
+        connection.close()
+
+
+def test_shutdown_ends_open_keep_alive_connections():
+    system = MaterializedViewSystem(
+        encode_tree(generate_xmark(scale=0.05, seed=3))
+    )
+    system.register_view("name", "//item/name")
+    engine = SnapshotEngine(system)
+    server = QueryServiceServer(
+        engine, QueryScheduler(engine, workers=1, queue_limit=4)
+    )
+    before = set(threading.enumerate())
+    server.start()
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 2.0
+        survivors = [
+            thread for thread in threading.enumerate()
+            if thread not in before
+            and "process_request_thread" in thread.name
+        ]
+        assert survivors == []
+        try:
+            connection.request("GET", "/healthz")
+            status = connection.getresponse().status
+        except (http.client.HTTPException, OSError):
+            status = None
+        assert status != 200
+    finally:
+        connection.close()

@@ -13,6 +13,7 @@ concurrent epoch swaps.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -388,6 +389,10 @@ class _StallEngine:
         self.entered.set()
         assert self.release.wait(timeout=10.0)
         return AnswerOutcome(codes=[], strategy=strategy, epoch_seq=1)
+
+    @contextmanager
+    def warm_hit(self, query_key, strategy):
+        yield None  # no plan cache: every read takes the worker pool
 
 
 def test_queue_full_rejection_increments_counter_and_retry_after():
