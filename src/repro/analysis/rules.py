@@ -408,7 +408,10 @@ _L2_ALLOWED_FILES = {"builder.py", "parser.py", "normalize.py", "pattern.py"}
 class FrozenPatternRule(Rule):
     """L2: no pattern-slot assignment outside the construction modules
     — CoverageMemo and the plan cache key on canonical strings and
-    node identity of *interned* patterns."""
+    node identity of *interned* patterns.  At run time a built
+    ``TreePattern`` is frozen (every write raises ``PatternError``,
+    including to ``label``/``parent``/``children``, which this rule
+    leaves out); the rule reports the same writes before they run."""
 
     rule_id = "L2"
     summary = (

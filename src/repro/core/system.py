@@ -678,12 +678,16 @@ class MaterializedViewSystem:
                 else None
             )
             root.attributes["cache"] = "warm" if entry is not None else "cold"
+            # One read of XMVR_CHECK per answer, shared by both paths.
+            checked = contracts.enabled()
             if entry is not None:
                 return self._answer_warm(
-                    entry, strategy, query_key, entered, started, epoch
+                    entry, strategy, query_key, entered, started, epoch,
+                    checked,
                 )
             return self._answer_cold(
-                pattern, strategy, query_key, entered, started, epoch
+                pattern, strategy, query_key, entered, started, epoch,
+                checked,
             )
 
     def _derive_selection(
@@ -766,6 +770,7 @@ class MaterializedViewSystem:
         entered: float,
         started: float,
         epoch: RegistryEpoch,
+        checked: bool,
     ) -> AnswerOutcome:
         pattern = self._memo.intern(query_key, pattern)
         stage_acc = {
@@ -794,7 +799,7 @@ class MaterializedViewSystem:
             for stage, seconds in stage_acc.items():
                 self._stage_hist.observe(seconds, stage)
             raise
-        if contracts.enabled():
+        if checked:
             context = f"answer({query_key!r}, {strategy})"
             contracts.check_selection_covers(selection, pattern, context)
             if filter_result is not None:
@@ -819,7 +824,7 @@ class MaterializedViewSystem:
             span.attributes["answers"] = len(result.codes)
         finished = self._clock.monotonic()
 
-        if contracts.enabled():
+        if checked:
             contracts.check_document_order(
                 result.codes, f"answer({query_key!r}, {strategy})"
             )
@@ -862,9 +867,10 @@ class MaterializedViewSystem:
         entered: float,
         started: float,
         epoch: RegistryEpoch,
+        checked: bool,
     ) -> AnswerOutcome:
         self._answers_total.inc(1.0, strategy, "warm")
-        if contracts.enabled():
+        if checked:
             warm_index = int(sum(
                 s.value
                 for s in self._answers_total.snapshot().samples
@@ -904,7 +910,7 @@ class MaterializedViewSystem:
                 )
             if self._cache_results:
                 entry.result = result
-        if contracts.enabled():
+        if checked:
             contracts.check_document_order(
                 result.codes, f"answer({query_key!r}, {strategy}) [warm]"
             )

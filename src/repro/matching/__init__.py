@@ -17,7 +17,7 @@ from .homomorphism import (
     label_subsumes,
     node_subsumes,
 )
-from .minimize import minimize, minimized_copy
+from .minimize import minimize
 from .tjfast import leaf_streams, tjfast_evaluate
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "leaf_streams",
     "tjfast_evaluate",
     "minimize",
-    "minimized_copy",
     "node_subsumes",
     "satisfies_relative",
     "wildcard_run_bound",

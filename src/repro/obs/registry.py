@@ -27,6 +27,7 @@ format lives in :mod:`repro.obs.expo`.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -93,9 +94,12 @@ class _Metric:
         self.name = name
         self.help = help_text
         self.labelnames = tuple(labelnames)
+        self._arity = len(self.labelnames)
 
     def _check_labels(self, labelvalues: tuple[str, ...]) -> None:
-        if len(labelvalues) != len(self.labelnames):
+        # Hot paths (``inc``/``observe``) compare the length inline and
+        # call this only to raise.
+        if len(labelvalues) != self._arity:
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames}, "
                 f"got {labelvalues!r}"
@@ -123,10 +127,12 @@ class Counter(_Metric):
         ``labelvalues`` (empty for an unlabeled counter)."""
         if amount < 0:
             raise ValueError("counters only go up")
-        key = labelvalues
-        self._check_labels(key)
+        if len(labelvalues) != self._arity:
+            self._check_labels(labelvalues)
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            self._values[labelvalues] = (
+                self._values.get(labelvalues, 0.0) + amount
+            )
 
     def value(self, *labelvalues: str) -> float:
         self._check_labels(labelvalues)
@@ -281,18 +287,15 @@ class Histogram(_Metric):
         self._cells: dict[tuple[str, ...], _HistogramCell] = {}
 
     def observe(self, value: float, *labelvalues: str) -> None:
-        self._check_labels(labelvalues)
+        if len(labelvalues) != self._arity:
+            self._check_labels(labelvalues)
         with self._lock:
             cell = self._cells.get(labelvalues)
             if cell is None:
                 cell = _HistogramCell([0] * (len(self.bounds) + 1))
                 self._cells[labelvalues] = cell
-            index = len(self.bounds)
-            for position, bound in enumerate(self.bounds):
-                if value <= bound:
-                    index = position
-                    break
-            cell.counts[index] += 1
+            # First bound >= value; past the last bound is ``+Inf``.
+            cell.counts[bisect_left(self.bounds, value)] += 1
             cell.total += value
             cell.count += 1
 

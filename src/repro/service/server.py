@@ -299,6 +299,10 @@ class QueryServiceServer:
         _BoundHandler.service = service
         self._httpd = _HTTPServer((host, port), _BoundHandler)
         self._thread: threading.Thread | None = None
+        #: Whether a serve loop was started; ``ThreadingHTTPServer.
+        #: shutdown`` waits for a loop to acknowledge, so without one
+        #: it would block forever.
+        self._loop_started = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -309,6 +313,7 @@ class QueryServiceServer:
 
     def start(self) -> None:
         """Serve in a daemon thread (tests / smoke mode)."""
+        self._loop_started = True
         thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-http",
@@ -319,13 +324,16 @@ class QueryServiceServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until ``shutdown``/interrupt."""
+        self._loop_started = True
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
         """Stop accepting, join the serve thread, end the open
         connections, close the scheduler's worker pool (queued flights
-        drain first), join the handler threads and close the socket."""
-        self._httpd.shutdown()
+        drain first), join the handler threads and close the socket.
+        A server that never served has no loop to stop."""
+        if self._loop_started:
+            self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join()
             self._thread = None

@@ -31,8 +31,8 @@ from .pattern import PatternNode, TreePattern
 __all__ = ["parse_xpath", "parse_path", "parse_cache_info", "parse_cache_clear"]
 
 #: Bounded LRU over raw expression strings.  The answering hot path
-#: re-parses identical query strings constantly; parsing dominates the
-#: per-call cost for short queries once plans are cached downstream.
+#: re-parses identical query strings constantly; a hit returns the
+#: shared frozen pattern, so it allocates nothing.
 _PARSE_CACHE_SIZE = 512
 
 _NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*")
@@ -182,13 +182,13 @@ def parse_xpath(expression: str) -> TreePattern:
     anywhere"; accordingly, an expression with no leading ``/`` or ``//``
     is parsed as if it started with ``//``.
 
-    Results are served from a bounded LRU keyed by the raw string; each
-    call returns an independent deep copy, so callers that mutate the
-    returned pattern (decomposition, normalization, answer re-marking)
-    can never corrupt later parses of the same string.  Syntax errors
-    are not cached.
+    Results are served from a bounded LRU keyed by the raw string.
+    Every call for one string returns the same shared instance: a
+    :class:`TreePattern` is frozen when built, with its canonical
+    string already computed, so no caller can corrupt a later parse.
+    Syntax errors are not cached.
     """
-    return _parse_cached(expression).copy()
+    return _parse_cached(expression)
 
 
 def parse_cache_info() -> functools._CacheInfo:

@@ -13,7 +13,7 @@ operates on and is represented compactly as a tuple of
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import PatternError
 from .ast import Axis, AttributeConstraint, Step, WILDCARD
@@ -22,7 +22,14 @@ __all__ = ["PatternNode", "TreePattern", "PathPattern"]
 
 
 class PatternNode:
-    """One node of a tree pattern."""
+    """One node of a tree pattern.
+
+    A node is writable only while its pattern is being built.  Wrapping
+    the root in a :class:`TreePattern` freezes every node of the tree:
+    each becomes a :class:`_FrozenPatternNode`, on which ``add_child``,
+    ``new_child`` and every attribute write raise
+    :class:`~repro.errors.PatternError`.
+    """
 
     __slots__ = ("label", "axis", "parent", "children", "constraints")
 
@@ -39,7 +46,7 @@ class PatternNode:
         #: root, for the pattern root).
         self.axis = axis
         self.parent: PatternNode | None = None
-        self.children: list[PatternNode] = []
+        self.children: tuple[PatternNode, ...] = ()
         self.constraints = constraints
 
     # ------------------------------------------------------------------
@@ -47,7 +54,7 @@ class PatternNode:
         if child.parent is not None:
             raise PatternError("pattern node already attached")
         child.parent = self
-        self.children.append(child)
+        self.children = self.children + (child,)
         return child
 
     def new_child(
@@ -95,18 +102,82 @@ class PatternNode:
         return f"<PatternNode {self.axis.value}{self.label}>"
 
 
-class TreePattern:
-    """A tree pattern with a designated answer node."""
+class _FrozenPatternNode(PatternNode):
+    """A node of a built :class:`TreePattern`: read-only.
 
-    __slots__ = ("root", "ret")
+    Same slots as :class:`PatternNode`, so freezing is a class switch
+    in place, with no copy.  A frozen node cannot gain children, be
+    attached under another node, or change a field.
+    """
+
+    __slots__ = ()
+
+    def add_child(self, child: PatternNode) -> PatternNode:
+        raise PatternError(
+            "pattern node is frozen; build a new pattern instead"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise PatternError(
+            f"pattern node is frozen; cannot set .{name}"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise PatternError(
+            f"pattern node is frozen; cannot delete .{name}"
+        )
+
+
+def _freeze(node: PatternNode, ret: PatternNode) -> str:
+    """Freeze ``node``'s subtree and return its canonical string.
+
+    Children are sorted by their canonical strings, so the form is
+    insensitive to sibling order; the answer node is marked ``!``.
+    """
+    children = sorted(_freeze(child, ret) for child in node.children)
+    if type(node) is PatternNode:
+        node.__class__ = _FrozenPatternNode
+    marker = "!" if node is ret else ""
+    constraints = ",".join(sorted(str(c) for c in node.constraints))
+    return (
+        f"{node.axis.value}{node.label}{marker}"
+        f"[{constraints}]({';'.join(children)})"
+    )
+
+
+class TreePattern:
+    """A tree pattern with a designated answer node.
+
+    Immutable: the constructor freezes every node of the tree and
+    computes the canonical string once, so a built pattern can be
+    shared by any number of callers and threads (the parse cache hands
+    out one instance per expression).  Code that needs a different
+    pattern builds a new one (:meth:`subtree_at`, :meth:`without`).
+    """
+
+    __slots__ = ("root", "ret", "_canonical")
+
+    root: PatternNode
+    ret: PatternNode
+    _canonical: str
 
     def __init__(self, root: PatternNode, ret: PatternNode) -> None:
         if root.parent is not None:
             raise PatternError("pattern root must not have a parent")
         if not root.is_ancestor_or_self_of(ret):
             raise PatternError("answer node must belong to the pattern")
-        self.root = root
-        self.ret = ret
+        canonical = _freeze(root, ret)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "ret", ret)
+        object.__setattr__(self, "_canonical", canonical)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise PatternError(f"tree patterns are immutable; cannot set .{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise PatternError(
+            f"tree patterns are immutable; cannot delete .{name}"
+        )
 
     # ------------------------------------------------------------------
     # structure
@@ -142,24 +213,26 @@ class TreePattern:
         return any(node.axis.is_descendant for node in self.iter_nodes())
 
     # ------------------------------------------------------------------
-    # copying
+    # derived patterns
     # ------------------------------------------------------------------
-    def copy(self) -> "TreePattern":
-        """Deep copy preserving the answer-node designation."""
-        mapping: dict[int, PatternNode] = {}
-        new_root = self._copy_subtree(self.root, mapping)
-        return TreePattern(new_root, mapping[id(self.ret)])
-
     @staticmethod
     def _copy_subtree(
-        node: PatternNode, mapping: dict[int, PatternNode]
+        node: PatternNode,
+        mapping: dict[int, PatternNode],
+        axis: Axis,
+        skip: frozenset[int] = frozenset(),
     ) -> PatternNode:
-        clone_root = PatternNode(node.label, node.axis, node.constraints)
+        """Unfrozen copy of ``node``'s subtree with ``axis`` on its
+        root, leaving out every subtree whose root's id is in
+        ``skip``; ``mapping`` receives original id → copy."""
+        clone_root = PatternNode(node.label, axis, node.constraints)
         mapping[id(node)] = clone_root
         stack = [(node, clone_root)]
         while stack:
             original, clone = stack.pop()
             for child in original.children:
+                if id(child) in skip:
+                    continue
                 child_clone = clone.new_child(
                     child.label, child.axis, child.constraints
                 )
@@ -178,10 +251,21 @@ class TreePattern:
         if ret is not None and not node.is_ancestor_or_self_of(ret):
             raise PatternError("ret must lie inside the subtree")
         mapping: dict[int, PatternNode] = {}
-        clone_root = self._copy_subtree(node, mapping)
-        clone_root.axis = Axis.CHILD
+        clone_root = self._copy_subtree(node, mapping, Axis.CHILD)
         clone_ret = mapping[id(ret)] if ret is not None else clone_root
         return TreePattern(clone_root, clone_ret)
+
+    def without(self, branches: Iterable[PatternNode]) -> "TreePattern":
+        """Return a new pattern equal to this one minus the subtrees
+        rooted at ``branches``, which must not hold the answer node."""
+        skip = frozenset(id(node) for node in branches)
+        if any(id(node) in skip for node in self.ret.ancestors_or_self()):
+            raise PatternError("cannot remove the answer node's branch")
+        mapping: dict[int, PatternNode] = {}
+        clone_root = self._copy_subtree(
+            self.root, mapping, self.root.axis, skip
+        )
+        return TreePattern(clone_root, mapping[id(self.ret)])
 
     # ------------------------------------------------------------------
     # presentation / equality
@@ -203,7 +287,9 @@ class TreePattern:
             lead = ".//" if node.axis.is_descendant else ""
             return f"{lead}{render_node(node, node.children)}"
 
-        def render_node(node: PatternNode, branches: list[PatternNode]) -> str:
+        def render_node(
+            node: PatternNode, branches: Sequence[PatternNode]
+        ) -> str:
             label = node.label
             if mark_answer and node is self.ret:
                 label = "{" + label + "}"
@@ -223,27 +309,18 @@ class TreePattern:
         """Order-insensitive canonical form; equal iff patterns identical.
 
         The answer node is marked, so two patterns differing only in
-        their answer node are distinguished.
+        their answer node are distinguished.  Computed once, when the
+        pattern is built.
         """
-
-        def canon(node: PatternNode) -> str:
-            marker = "!" if node is self.ret else ""
-            constraints = ",".join(sorted(str(c) for c in node.constraints))
-            children = sorted(canon(child) for child in node.children)
-            return (
-                f"{node.axis.value}{node.label}{marker}"
-                f"[{constraints}]({';'.join(children)})"
-            )
-
-        return canon(self.root)
+        return self._canonical
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePattern):
             return NotImplemented
-        return self.canonical_string() == other.canonical_string()
+        return self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical_string())
+        return hash(self._canonical)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TreePattern({self.to_xpath()!r})"

@@ -16,7 +16,6 @@ from repro.matching import (
     feasible_pairs,
     has_homomorphism,
     minimize,
-    minimized_copy,
     satisfies_relative,
     subtree_maps_to,
     wildcard_run_bound,
@@ -242,41 +241,44 @@ class TestContainment:
 class TestMinimize:
     def test_removes_absorbed_branch(self):
         pattern = parse_xpath("//a[b][b/c]/d")
-        minimized = minimize(pattern.copy())
+        minimized = minimize(pattern)
         # [b] is implied by [b/c]
         assert minimized.size() == 4
 
     def test_keeps_distinct_branches(self):
         pattern = parse_xpath("//a[b][c]/d")
-        assert minimize(pattern.copy()).size() == pattern.size()
+        assert minimize(pattern).size() == pattern.size()
 
     def test_descendant_branch_absorption(self):
         pattern = parse_xpath("//a[.//c][b/c]/d")
-        minimized = minimize(pattern.copy())
+        minimized = minimize(pattern)
         assert minimized.size() == 4
 
     def test_never_removes_answer_spine(self):
         pattern = parse_xpath("//a[b]/b")  # branch b duplicates spine b
-        minimized = minimize(pattern.copy())
+        minimized = minimize(pattern)
         assert minimized.ret.label == "b"
         assert minimized == parse_xpath("//a/b")
 
     def test_minimization_preserves_equivalence(self):
         for expr in ["//a[b][b/c]/d", "//a[.//c][b/c]/d", "//a[b][b]/c"]:
             pattern = parse_xpath(expr)
-            minimized = minimized_copy(pattern)
+            minimized = minimize(pattern)
             assert equivalent(pattern, minimized)
 
     def test_minimized_copy_leaves_input(self):
         pattern = parse_xpath("//a[b][b/c]/d")
         size = pattern.size()
-        minimized_copy(pattern)
+        minimized = minimize(pattern)
+        assert minimized is not pattern
+        assert minimized.size() == size - 1
         assert pattern.size() == size
+        assert parse_xpath("//a[b][b/c]/d") is pattern
 
     def test_idempotent(self):
         pattern = minimize(parse_xpath("//a[b][b/c][b/c/d]/e"))
-        again = minimized_copy(pattern)
-        assert again == pattern
+        again = minimize(pattern)
+        assert again is pattern
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
 """Tests for tree/path pattern data structures."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PatternError
 from repro.xpath import (
@@ -15,6 +17,7 @@ from repro.xpath import (
     str_text,
     str_tokens,
 )
+from repro.workload import QueryGenConfig, QueryGenerator, generate_xmark_document
 from repro.xpath.pattern import PatternNode, TreePattern
 
 from conftest import random_pattern
@@ -43,14 +46,54 @@ class TestTreePattern:
         assert parse_xpath("/a//b").has_descendant_axis()
         assert not parse_xpath("/a/b").has_descendant_axis()
 
-    def test_copy_is_deep_and_keeps_ret(self):
+    def test_built_pattern_is_frozen_and_keeps_ret(self):
+        """A shared pattern cannot be changed through any entry point,
+        so a later parse still equals the first one."""
         pattern = parse_xpath("/a[b]/c")
-        clone = pattern.copy()
-        assert clone == pattern
-        assert clone.ret is not pattern.ret
-        assert clone.ret.label == "c"
-        clone.root.new_child("z")
-        assert clone != pattern
+        baseline = pattern.canonical_string()
+        assert pattern.ret.label == "c"
+        for node in pattern.iter_nodes():
+            assert isinstance(node.children, tuple)
+            with pytest.raises(PatternError):
+                node.add_child(PatternNode("z"))
+            with pytest.raises(PatternError):
+                node.new_child("z", Axis.DESCENDANT)
+            for name, value in (
+                ("label", "z"),
+                ("axis", Axis.DESCENDANT),
+                ("parent", None),
+                ("children", ()),
+                ("constraints", ()),
+            ):
+                with pytest.raises(PatternError):
+                    setattr(node, name, value)
+                with pytest.raises(PatternError):
+                    delattr(node, name)
+        for name, value in (
+            ("root", PatternNode("z")),
+            ("ret", pattern.root),
+            ("_canonical", ""),
+        ):
+            with pytest.raises(PatternError):
+                setattr(pattern, name, value)
+        # A frozen node cannot be grafted under a node being built.
+        with pytest.raises(PatternError):
+            PatternNode("z").add_child(pattern.root)
+        assert pattern.canonical_string() == baseline
+        assert pattern.ret.label == "c"
+        assert parse_xpath("/a[b]/c") == pattern
+        # Derived patterns are new objects; the source stays as built.
+        without = pattern.without([pattern.root.children[0]])
+        assert without == parse_xpath("/a/c")
+        assert without.ret is not pattern.ret
+        assert pattern.canonical_string() == baseline
+
+    def test_without_rejects_the_answer_branch(self):
+        pattern = parse_xpath("/a[b]/c")
+        with pytest.raises(PatternError):
+            pattern.without([pattern.ret])
+        with pytest.raises(PatternError):
+            pattern.without([pattern.root])
 
     def test_equality_is_unordered(self):
         assert parse_xpath("/a[b][c]/d") == parse_xpath("/a[c][b]/d")
@@ -240,3 +283,57 @@ class TestStrTransform:
     def test_wildcards_kept(self):
         path = parse_xpath("/a/*//*").to_path_pattern()
         assert str_tokens(path) == ("a", "*", "#", "*")
+
+
+# ----------------------------------------------------------------------
+# frozen, pre-canonicalised patterns
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def _xmark_schema():
+    return generate_xmark_document(scale=0.05, seed=9).schema
+
+
+def _reference_canonical(node, ret):
+    """The canonical form recomputed from scratch (sorted children,
+    answer node marked), independent of the one stored at build."""
+    marker = "!" if node is ret else ""
+    constraints = ",".join(sorted(str(c) for c in node.constraints))
+    children = sorted(_reference_canonical(c, ret) for c in node.children)
+    return (
+        f"{node.axis.value}{node.label}{marker}"
+        f"[{constraints}]({';'.join(children)})"
+    )
+
+
+def _unfrozen_rebuild(pattern):
+    """Copy the tree into builder nodes that no TreePattern wraps."""
+    answer = []
+
+    def build(node):
+        clone = PatternNode(node.label, node.axis, node.constraints)
+        if node is pattern.ret:
+            answer.append(clone)
+        for child in node.children:
+            clone.add_child(build(child))
+        return clone
+
+    return build(pattern.root), answer[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_parsed_generator_patterns_are_shared_and_canonical(seed, attrs):
+    config = QueryGenConfig(
+        num_nestedpath=2, attributes=("id",) if attrs else ()
+    )
+    generated = QueryGenerator(_xmark_schema(), config, seed=seed).generate()
+    text = generated.to_xpath()
+    parsed = parse_xpath(text)
+    assert parse_xpath(text) is parsed
+    assert parsed == generated
+    root, ret = _unfrozen_rebuild(parsed)
+    assert type(root) is PatternNode  # not frozen: no TreePattern built
+    with pytest.raises(PatternError):
+        parsed.root.new_child("z")
+    assert parsed.canonical_string() == _reference_canonical(root, ret)
+    assert parse_xpath(text).canonical_string() == parsed.canonical_string()

@@ -15,6 +15,7 @@ The invariants under test:
    the catalog consistent with the store when a view fails mid-batch.
 """
 
+import gc
 import random
 
 import pytest
@@ -22,11 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import MaterializedViewSystem, ViewNotAnswerableError, encode_tree, parse_xml
 from repro.bench import TEST_QUERIES
+from repro.core import contracts
 from repro.delta.maintenance import DocumentEditor
 from repro.core.plancache import PlanCache, PlanEntry
 from repro.service import build_query_mix, zipf_weights
 from repro.xmltree.tree import XMLNode
 from repro.xpath.parser import parse_xpath
+from repro.xpath.pattern import PatternNode
 
 from conftest import random_pattern, random_tree, xmark_twin
 
@@ -215,11 +218,11 @@ def test_interleaved_mutations_match_cold_system(seed):
     def check_against_cold():
         cold = MaterializedViewSystem(document, plan_cache_size=0)
         for view in warm._views.values():
-            cold.register_view(view.view_id, view.pattern.copy())
+            cold.register_view(view.view_id, view.pattern)
         for query in queries:
             for strategy in ("HV", "MN"):
                 try:
-                    expected = cold.answer(query.copy(), strategy).codes
+                    expected = cold.answer(query, strategy).codes
                 except ViewNotAnswerableError:
                     expected = None
                 try:
@@ -441,6 +444,77 @@ def test_skewed_replay_hits_the_plan_cache_and_skips_derivation():
     assert _stage_counts(system) == derived
     assert system._memo.computed == computed
     assert system.stats()["plan_cache"]["hits"] == len(replay)
+
+
+def test_warm_hits_build_no_patterns_and_leave_no_cyclic_garbage(monkeypatch):
+    """A warm hit reuses the shared frozen parse: it constructs no
+    PatternNode and leaves nothing for the cyclic collector (a private
+    copy per hit would be a parent-linked node cycle per read).  Counts,
+    not timings."""
+    # XMVR_CHECK=1 re-derives sampled warm plans on purpose, which builds
+    # patterns; this test is about the hit path itself.
+    monkeypatch.setenv("XMVR_CHECK", "0")
+    system = xmark_twin()
+    pool = [expression for expression, _ in TEST_QUERIES.values()]
+    for expression in pool:
+        system.answer(expression)
+    replay = random.Random(7).choices(
+        pool, weights=zipf_weights(len(pool)), k=1000
+    )
+    built = []
+    build = PatternNode.__init__
+
+    def counting_init(node, *args, **kwargs):
+        built.append(args)
+        build(node, *args, **kwargs)
+
+    monkeypatch.setattr(PatternNode, "__init__", counting_init)
+    gc.collect()
+    gc.disable()
+    try:
+        hits = sum(system.answer(e).plan_cache_hit for e in replay)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert hits == len(replay)
+    assert built == []
+    assert garbage == 0
+
+
+def test_sampled_warm_rederivation_reads_the_shared_parsed_pattern(
+    monkeypatch,
+):
+    """Under XMVR_CHECK=1 a sampled warm hit re-derives its plan from
+    the cached entry's pattern: the parse cache's shared frozen
+    instance, which the re-derivation leaves as it was."""
+    monkeypatch.setenv("XMVR_CHECK", "1")
+    monkeypatch.setenv("XMVR_CHECK_SAMPLE", "1")
+    checked = []
+    check = contracts.check_plan_consistency
+
+    def recording_check(system, entry, *args, **kwargs):
+        checked.append(entry.pattern)
+        check(system, entry, *args, **kwargs)
+
+    monkeypatch.setattr(contracts, "check_plan_consistency", recording_check)
+    system = _book_system()
+    queries = ["s[f//i][t]/p", "s[t]/p", "//s/f", "//a"]  # //a: no view
+
+    def answer_all():
+        for query in queries:
+            try:
+                system.answer(query)
+            except ViewNotAnswerableError:
+                pass
+
+    answer_all()
+    assert checked == []  # cold answers derive; nothing to re-check
+    keys = [parse_xpath(query).canonical_string() for query in queries]
+    answer_all()
+    assert len(checked) == len(queries)
+    for pattern, query, key in zip(checked, queries, keys):
+        assert pattern is parse_xpath(query)
+        assert pattern.canonical_string() == key
 
 
 def _twin_system() -> MaterializedViewSystem:

@@ -350,3 +350,23 @@ def test_shutdown_ends_open_keep_alive_connections():
         assert status != 200
     finally:
         connection.close()
+
+
+def test_shutdown_of_a_server_that_never_served_returns():
+    """``ThreadingHTTPServer.shutdown`` waits for a serve loop to
+    acknowledge; a server that never served has none, so ``shutdown``
+    must not call it (``repro serve`` shuts down in a ``finally``)."""
+    system = MaterializedViewSystem(
+        encode_tree(generate_xmark(scale=0.05, seed=3))
+    )
+    engine = SnapshotEngine(system)
+    server = QueryServiceServer(
+        engine, QueryScheduler(engine, workers=1, queue_limit=4)
+    )
+    listening = server._httpd.socket
+    assert listening.fileno() != -1
+    closer = threading.Thread(target=server.shutdown, daemon=True)
+    closer.start()
+    closer.join(2.0)
+    assert not closer.is_alive()
+    assert listening.fileno() == -1

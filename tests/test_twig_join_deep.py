@@ -142,7 +142,7 @@ class TestJoinAgainstTruth:
         doc = encode_tree(tree)
         query = random_pattern(rng, max_nodes=4)
         store = FragmentStore()
-        view = View("V", query.copy())
+        view = View("V", query)
         answers = evaluate(view.pattern, tree)
         store.materialize("V", [(n.dewey, n) for n in answers])
         units = [

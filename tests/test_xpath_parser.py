@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import XPathSyntaxError
+from repro.errors import PatternError, XPathSyntaxError
 from repro.xpath import Axis, parse_path, parse_xpath
+from repro.xpath.pattern import PatternNode
 
 
 class TestMainPath:
@@ -163,31 +164,40 @@ class TestRoundTrip:
 
 
 class TestParseCache:
-    """parse_xpath memoizes on the expression string but must hand each
-    caller a private pattern — mutating one parse can never leak into a
-    later parse of the same expression."""
+    """parse_xpath memoizes on the expression string and hands every
+    caller the same frozen pattern — no caller can change it, so a
+    later parse of the same expression always equals the first."""
 
-    def test_cached_parse_is_equal_but_independent(self):
+    def test_cached_parse_is_one_shared_instance(self):
         from repro.xpath.parser import parse_cache_clear, parse_cache_info
 
         parse_cache_clear()
         first = parse_xpath("s[f//i][t]/p")
+        hits = parse_cache_info().hits
         second = parse_xpath("s[f//i][t]/p")
-        assert parse_cache_info().hits >= 1
-        assert first == second
-        assert first is not second
-        shared = {id(node) for node in first.iter_nodes()} & {
-            id(node) for node in second.iter_nodes()
-        }
-        assert not shared  # no structural aliasing at all
+        assert parse_cache_info().hits == hits + 1
+        assert first is second
+        assert first.canonical_string() is second.canonical_string()
 
     def test_caller_mutation_does_not_poison_cache(self):
         baseline = parse_xpath("//a[b]/c")
-        mutated = parse_xpath("//a[b]/c")
-        mutated.ret.new_child("z", Axis.CHILD)
+        key = baseline.canonical_string()
+        shared = parse_xpath("//a[b]/c")
+        with pytest.raises(PatternError):
+            shared.ret.new_child("z", Axis.CHILD)
+        with pytest.raises(PatternError):
+            shared.ret.add_child(PatternNode("z"))
+        with pytest.raises(PatternError):
+            shared.root.label = "z"
+        # Deliberate writes to frozen slots: each must raise.
+        with pytest.raises(PatternError):
+            shared.ret.constraints = ()  # xmvrlint: disable=L2
+        with pytest.raises(PatternError):
+            shared.ret = shared.root  # xmvrlint: disable=L2
         fresh = parse_xpath("//a[b]/c")
-        assert fresh == baseline
-        assert fresh != mutated
+        assert fresh is baseline
+        assert fresh.canonical_string() == key
+        assert fresh.ret.is_leaf()
 
     def test_syntax_errors_are_not_cached(self):
         for _ in range(2):  # identical failures on repeat calls
