@@ -5,13 +5,15 @@ load-bearing (see DESIGN.md §10 for the catalog):
 
 * :mod:`repro.analysis.engine` / :mod:`repro.analysis.rules` —
   ``xmvrlint``, a linter with repo-specific rules: per-file AST rules
-  L1–L5 (plan-cache invalidation discipline, frozen interned patterns,
-  ``id()``-key escapes, wall-clock/randomness bans in ``core/``,
-  public-API annotation coverage) and whole-program rules L6–L9
-  (interprocedural invalidation, exception safety of mutation windows,
-  purity of cache inputs, import layering) built on
-  :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.dataflow` and
-  :mod:`repro.analysis.effects`.  Run it with ``python -m repro lint``
+  L2–L5 (frozen interned patterns, ``id()``-key escapes,
+  wall-clock/randomness bans in ``core/``, public-API annotation
+  coverage), whole-program rules L7–L9 (exception safety of mutation
+  windows, purity of cache inputs, import layering), the concurrency
+  rules L10–L14 and the derived-state rules L15–L19 (among them the
+  plan-cache invalidation discipline), built on
+  :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.dataflow`,
+  :mod:`repro.analysis.effects`, :mod:`repro.analysis.concurrency` and
+  :mod:`repro.analysis.statedeps`.  Run it with ``python -m repro lint``
   or the ``xmvrlint`` console script.
 * the runtime half lives below this layer, in
   :mod:`repro.core.contracts`, because ``core/system.py`` calls it: the

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .dataflow import CallRef, FileSummary, FunctionSummary
+from .dataflow import DYNAMIC, CallRef, FileSummary, FunctionSummary
 
 __all__ = [
     "ATTR_CLASSES",
@@ -151,7 +151,7 @@ class Project:
     def resolve(self, caller_fq: str, call: CallRef) -> str | None:
         """Resolve one call site to a project function, or None."""
         chain = call.chain
-        if chain == ("<dynamic>",):
+        if chain[0] == DYNAMIC:
             return None
         module = self.module_of.get(caller_fq, "")
         caller = self.functions.get(caller_fq)

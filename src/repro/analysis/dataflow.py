@@ -1,7 +1,7 @@
 """Function summaries and the forward-dataflow engine for xmvrlint.
 
 This module is the substrate of the whole-program half of the linter
-(rules L6-L9).  Source files are lowered once into a small, pickleable
+(rules L7-L19).  Source files are lowered once into a small, pickleable
 IR — per-function :class:`Step` trees carrying the calls, state writes
 and raises each statement performs — and every later analysis (call
 graph, effect inference, invalidation guarantees, exception-safety
@@ -24,15 +24,16 @@ Three layers live here:
   worklist over a monotone transfer function) and :func:`reachable`
   (graph reachability), shared by the call-graph and effect passes.
 * **Guarantee scan** — :func:`scan_guarantee`, the abstract
-  interpretation of a statement block ported from rule L1 onto the IR:
-  does every normal exit path perform an "establishing" call?  Branch
-  states merge at ``if``/``else``, loops are assumed to run zero
-  times, ``finally`` propagates, ``raise`` exits are exempt.
+  interpretation of a statement block over the IR: does every normal
+  exit path perform an "establishing" call?  Branch states merge at
+  ``if``/``else``, loops are assumed to run zero times, ``finally``
+  propagates, ``raise`` exits are exempt.
 
 The answering-state tables (which classes, attributes and methods
-constitute "state the plan cache depends on") also live here so that
-the per-file rule L1 and the whole-program passes share one
-definition without an import cycle.
+constitute "state the plan cache depends on") also live here, next to
+the predicates over the IR that read them (:func:`state_writes`,
+:func:`state_call`), so every pass shares one definition without an
+import cycle.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "DOCUMENT_METHODS",
     "ANY_RECEIVER_METHODS",
     "INVALIDATE_SEED",
+    "DYNAMIC",
     "attr_chain",
     "fresh_locals",
     "summarize_module",
@@ -80,7 +82,7 @@ __all__ = [
 
 
 # ======================================================================
-# answering-state tables (shared by L1 and the whole-program passes)
+# answering-state tables (shared by the whole-program passes)
 # ======================================================================
 #: Classes whose methods are held to the invalidation discipline.
 STATE_CLASSES = {"MaterializedViewSystem", "XMVRSystem", "DocumentEditor"}
@@ -103,6 +105,9 @@ DOCUMENT_METHODS = {"invalidate"}
 ANY_RECEIVER_METHODS = {"detach", "add_child"}
 #: The call every mutation must be covered by.
 INVALIDATE_SEED = "_invalidate_plans"
+#: Head of the chain of a call whose callee is not a plain
+#: Name/Attribute chain (see :class:`CallRef`).
+DYNAMIC = "<dynamic>"
 
 
 # ======================================================================
@@ -115,9 +120,13 @@ class CallRef:
     ``self.fragments.materialize(...)`` becomes
     ``chain=('self', 'fragments', 'materialize')``; a bare ``f(...)``
     becomes ``chain=('f',)``.  Calls whose callee is not a plain
-    Name/Attribute chain (subscripts, lambdas) get the sentinel chain
-    ``('<dynamic>',)``.  ``receiver_fresh`` marks calls whose receiver
-    is a function-fresh local (see :func:`fresh_locals`).
+    Name/Attribute chain get the sentinel head :data:`DYNAMIC`: a
+    method called on a subscript or a call result keeps its name
+    (``nodes[0].detach()`` becomes ``('<dynamic>', 'detach')``), any
+    other callee is ``('<dynamic>',)``.  Such calls never resolve to a
+    project function, but name-keyed tables (document surgery) still
+    see them.  ``receiver_fresh`` marks calls whose receiver is a
+    function-fresh local (see :func:`fresh_locals`).
     """
 
     chain: tuple[str, ...]
@@ -499,7 +508,11 @@ class _FunctionLowerer:
                         else None
                     )
                     if chain is None:
-                        chain = ("<dynamic>",)
+                        chain = (
+                            (DYNAMIC, probe.func.attr)
+                            if isinstance(probe.func, ast.Attribute)
+                            else (DYNAMIC,)
+                        )
                     receiver_fresh = len(chain) > 1 and chain[0] in self.fresh
                     calls.append(
                         CallRef(
@@ -1244,7 +1257,7 @@ def state_writes(step: Step) -> tuple[WriteRef, ...]:
 
 
 def state_call(call: CallRef, allow_any_receiver: bool = True) -> bool:
-    """Does this call site mutate answering state per the L1 tables?
+    """Does this call site mutate answering state per the tables above?
 
     ``allow_any_receiver`` gates the ``detach`` / ``add_child`` family:
     inside the watched classes (and the core layer) tree surgery on any
@@ -1270,7 +1283,7 @@ def state_call(call: CallRef, allow_any_receiver: bool = True) -> bool:
 
 
 # ======================================================================
-# guarantee scan (L1's abstract interpretation, over the IR)
+# guarantee scan (abstract interpretation over the IR)
 # ======================================================================
 @dataclass(slots=True)
 class ScanResult:
@@ -1286,10 +1299,9 @@ def scan_guarantee(
 ) -> ScanResult:
     """Does every normal exit path perform an establishing call?
 
-    Port of rule L1's abstract interpretation onto the IR: ``raise``
-    exits are exempt, loops are assumed to run zero times, ``try`` is
-    conservative (never *establishes* the call, but exits inside it
-    are still checked), branch states merge at ``if``.
+    ``raise`` exits are exempt, loops are assumed to run zero times,
+    ``try`` is conservative (never *establishes* the call, but exits
+    inside it are still checked), branch states merge at ``if``.
     """
     bad = False
     for step in steps:

@@ -16,8 +16,8 @@ generic engine in :mod:`repro.analysis.dataflow`:
   ``__init__`` mutating its own brand-new ``self`` is invisible to the
   caller's state.
 * **Invalidation guarantees** — the set of functions proven to call
-  ``_invalidate_plans()`` on every normal exit path, the
-  interprocedural generalization of rule L1 that powers L6.  A call
+  ``_invalidate_plans()`` on every normal exit path; rule L7 reads it
+  to know when a callee has closed the mutation window.  A call
   establishes the guarantee when its receiver denotes the caller's own
   system (``self`` / ``self.system`` / a ``system`` local) and the
   callee is itself guaranteed.
@@ -50,6 +50,7 @@ from .callgraph import Project, layer_of
 from .dataflow import (
     INVALIDATE_SEED,
     STATE_CLASSES as _WATCHED_CLASSES,
+    DYNAMIC,
     CallRef,
     FunctionSummary,
     Step,
@@ -221,7 +222,8 @@ class Window:
 
 @dataclass(slots=True)
 class ProgramFacts:
-    """Results of the whole-program analysis, consumed by rules L6-L8."""
+    """Results of the whole-program analysis, consumed by rules L7, L8
+    and L14."""
 
     project: Project
     effects: dict[str, Effect] = field(default_factory=dict)
@@ -252,28 +254,6 @@ class ProgramFacts:
                 if module.split(".")[-1] == "maintenance":
                     entries.append((fqname, function))
         return entries
-
-    def mutation_witness(self, fqname: str) -> list[str]:
-        """A call path from ``fqname`` to a directly-mutating function,
-        for diagnostics; empty when ``fqname`` mutates directly."""
-        seen = {fqname}
-        frontier: list[tuple[str, list[str]]] = [(fqname, [])]
-        while frontier:
-            current, path = frontier.pop(0)
-            function = self.project.functions.get(current)
-            if function is not None and _direct_mutation(
-                self.project, current, function
-            ):
-                return path
-            for call, callee in self.project.callees(current):
-                if callee in seen or call.receiver_fresh:
-                    continue
-                if callee in self.mutates_answering:
-                    seen.add(callee)
-                    frontier.append(
-                        (callee, path + [self.project.functions[callee].name])
-                    )
-        return []
 
     def windows(self, fqname: str) -> list[Window]:
         """Mutate-then-raise windows of one function (rule L7)."""
@@ -331,7 +311,7 @@ def _direct_effect(
             if write.global_write or len(write.chain) > 1 or write.subscript:
                 mutates = True
         for call in step.calls:
-            if call.chain == ("<dynamic>",):
+            if call.chain[0] == DYNAMIC:
                 continue
             if _call_clock(call, imports):
                 clock = True
@@ -723,7 +703,7 @@ def _solve_windows(
 # ======================================================================
 def analyze(project: Project) -> ProgramFacts:
     """Run every whole-program fixpoint; the single entry point used by
-    rules L6-L8."""
+    rules L7, L8 and L14."""
     facts = ProgramFacts(project=project)
     facts.effects = _solve_effects(project)
     facts.guaranteed = _solve_guaranteed(project)

@@ -10,7 +10,7 @@ Suppressions
 A comment anywhere on a flagged line (for function-level rules: the
 ``def`` line the violation is reported at) disables named rules::
 
-    fits = store.materialize(...)  # xmvrlint: disable=L1 -- justification
+    pattern.ret.axis = None  # xmvrlint: disable=L2 -- justification
 
 ``disable=all`` disables every rule for the line, and
 ``disable-file=L4`` (on any line) disables a rule for the whole file.
@@ -81,7 +81,7 @@ EXIT_ERROR = 2
 
 #: Bump when the cached record layout or any analysis changes shape —
 #: stale cache entries are then simply misses.
-LINT_CACHE_VERSION = 4
+LINT_CACHE_VERSION = 5
 
 #: Fix tag understood by :func:`apply_return_none_fixes`.
 FIX_RETURN_NONE = "add-return-none"
@@ -338,8 +338,13 @@ def register(cls: type[Rule]) -> type[Rule]:
 _RANGE = re.compile(r"^([A-Za-z]+)(\d+)-(?:([A-Za-z]+))?(\d+)$")
 
 
-def _expand_selection(items: Iterable[str]) -> list[str]:
-    """Expand ``L1-L9``-style ranges; plain ids pass through."""
+def _expand_selection(
+    items: Iterable[str], known: Iterable[str]
+) -> list[str]:
+    """Expand ``L2-L9``-style ranges to the ``known`` ids inside them
+    (a retired id in the middle of a range is skipped); plain ids pass
+    through.  A range that selects no known id is an error."""
+    registered = set(known)
     expanded: list[str] = []
     for raw in items:
         item = raw.strip().upper()
@@ -355,18 +360,24 @@ def _expand_selection(items: Iterable[str]) -> list[str]:
                 f"bad rule range {raw!r}: prefixes {prefix} and "
                 f"{end_prefix} differ"
             )
-        if int(low) > int(high):
-            raise LintError(f"bad rule range {raw!r}: empty")
-        expanded.extend(
-            f"{prefix}{number}" for number in range(int(low), int(high) + 1)
-        )
+        selected = [
+            f"{prefix}{number}"
+            for number in range(int(low), int(high) + 1)
+            if f"{prefix}{number}" in registered
+        ]
+        if not selected:
+            raise LintError(
+                f"bad rule range {raw!r}: selects no rule; "
+                f"known: {', '.join(sorted(registered))}"
+            )
+        expanded.extend(selected)
     return expanded
 
 
 def all_rules(select: Iterable[str] | None = None) -> list[Rule]:
     """Instantiate registered rules, optionally restricted to ids in
-    ``select`` (plain ids or ``L1-L9`` ranges).  Unknown ids raise
-    :class:`LintError` (exit code 2)."""
+    ``select`` (plain ids or ``L2-L9`` ranges).  Unknown plain ids and
+    ranges that select nothing raise :class:`LintError` (exit code 2)."""
     # Rules live in a sibling module; importing it populates the
     # registry exactly once.
     from . import rules as _rules  # noqa: F401
@@ -374,7 +385,7 @@ def all_rules(select: Iterable[str] | None = None) -> list[Rule]:
     if select is None:
         wanted = sorted(_REGISTRY)
     else:
-        wanted = _expand_selection(select)
+        wanted = _expand_selection(select, _REGISTRY)
         unknown = [item for item in wanted if item not in _REGISTRY]
         if unknown:
             raise LintError(

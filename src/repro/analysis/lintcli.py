@@ -64,7 +64,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         dest="select",
         metavar="RULES",
         help="comma-separated rule ids or ranges to run, e.g. "
-        "'L1,L4' or 'L1-L9' (default: all)",
+        "'L2,L4' or 'L2-L9'; a range selects the rules inside it "
+        "(default: all)",
     )
     parser.add_argument(
         "--fix",
@@ -296,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="xmvrlint",
         description="Project-invariant static analysis for the XMVR "
-                    "reproduction (rules L1-L19; see DESIGN.md §10, "
+                    "reproduction (rules L2-L19; see DESIGN.md §10, "
                     "§13 and §15)",
     )
     add_lint_arguments(parser)

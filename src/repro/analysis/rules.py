@@ -1,17 +1,20 @@
-"""The xmvrlint rule set (L1–L19).
+"""The xmvrlint rule set (L2–L5, L7–L19).
 
-Each rule encodes one repo-specific invariant that PR 1's caching layer
-turned load-bearing; DESIGN.md §10 ties every rule to the mechanism it
+Each rule encodes one repo-specific invariant that the plan and memo
+caches turned load-bearing; DESIGN.md §10 ties every rule to the mechanism it
 protects.  The rules are intentionally conservative approximations —
 they must never miss the failure mode they exist for, and the
 suppression pragma exists for the rare justified exception.
 
-L1–L5 are per-file AST rules.  L6–L9 are *whole-program* rules built on
+L2–L5 are per-file AST rules.  L7–L9 are *whole-program* rules built on
 the call graph (:mod:`repro.analysis.callgraph`) and the effect /
-invalidation fixpoints (:mod:`repro.analysis.effects`): L6 generalizes
-L1 interprocedurally, L7 checks exception safety of mutation windows,
-L8 checks purity of everything feeding a cache key, and L9 enforces the
-package layering DAG.
+invalidation fixpoints (:mod:`repro.analysis.effects`): L7 checks
+exception safety of mutation windows, L8 checks purity of everything
+feeding a cache key, and L9 enforces the package layering DAG.  The
+ids L1 and L6 are retired: the plan-cache invariant they checked (every
+write to the document or view pool drops the cached plans) is the
+``PlanCache._entries`` edge of the derivation DAG, which L15 checks on
+every non-raising exit and L7 on the raising ones.
 
 L10–L14 are the *concurrency* rules (DESIGN.md §13), built on the
 lock-set / acquisition-graph facts of
@@ -26,8 +29,8 @@ suppress.
 L15–L19 are the *derived-state ownership* rules (DESIGN.md §15), built
 on the derivation DAG of :mod:`repro.analysis.statedeps` declared by
 ``#: state: hard | soft(derived-from=...; rebuild=...) | counter``
-annotations: L15 generalizes L1/L6 from the plan cache to every DAG
-edge (a write reaching a derivation source must invalidate or patch
+annotations: L15 checks every DAG edge, the plan cache's included (a
+write reaching a derivation source must invalidate or patch
 every strict dependent on every non-raising exit), L16 checks the DAG
 shape (acyclic, hard state never derived, counters never sources), L17
 that every soft field has a reachable rebuild path, L18 that hard
@@ -43,7 +46,7 @@ import ast
 from typing import Iterator
 
 from .callgraph import LAYER_RANKS, layer_of
-from .dataflow import CallRef, fresh_locals
+from .dataflow import CallRef, _own_nodes, attr_chain
 from .effects import _call_clock, _call_io, classify
 from .engine import (
     FIX_RETURN_NONE,
@@ -56,12 +59,10 @@ from .engine import (
 )
 
 __all__ = [
-    "InvalidatePlansRule",
     "FrozenPatternRule",
     "IdKeyEscapeRule",
     "WallClockRule",
     "PublicAnnotationsRule",
-    "InterproceduralInvalidateRule",
     "ExceptionSafetyRule",
     "CacheKeyPurityRule",
     "ImportLayeringRule",
@@ -81,19 +82,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # shared AST helpers
 # ----------------------------------------------------------------------
-def _attr_chain(node: ast.expr) -> tuple[str, ...] | None:
-    """``self.system.fragments`` -> ('self', 'system', 'fragments');
-    None when the expression is not a pure Name/Attribute chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return tuple(reversed(parts))
-
-
 def _function_defs(tree: ast.Module) -> Iterator[tuple[ast.ClassDef | None, ast.FunctionDef | ast.AsyncFunctionDef]]:
     """Module-level and class-level function definitions (not nested)."""
     for node in tree.body:
@@ -105,19 +93,6 @@ def _function_defs(tree: ast.Module) -> Iterator[tuple[ast.ClassDef | None, ast.
                     yield node, member
 
 
-def _own_nodes(function: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested defs."""
-    stack: list[ast.AST] = list(function.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _contains_id_call(node: ast.AST) -> bool:
     return any(
         isinstance(probe, ast.Call)
@@ -125,272 +100,6 @@ def _contains_id_call(node: ast.AST) -> bool:
         and probe.func.id == "id"
         for probe in ast.walk(node)
     )
-
-
-# ======================================================================
-# L1 — cache-invalidation discipline
-# ======================================================================
-#: Classes whose methods are held to the invalidation discipline.
-_L1_CLASSES = {"MaterializedViewSystem", "XMVRSystem", "DocumentEditor"}
-#: Expressions denoting "the system object" inside those classes.
-_L1_SYSTEM = {("self",), ("system",), ("self", "system")}
-#: Expressions denoting "the encoded document".
-_L1_DOCUMENT = {("document",)} | {base + ("document",) for base in _L1_SYSTEM}
-#: System attributes whose (re)assignment is answering-state mutation.
-_L1_STATE_ATTRS = {"_views", "_materialized", "vfilter", "fragments"}
-#: Document attributes whose reassignment stales every plan.
-_L1_DOCUMENT_ATTRS = {"schema", "fst"}
-#: Mutating methods, keyed by the attribute they are reached through.
-_L1_FRAGMENT_METHODS = {"materialize", "drop"}
-_L1_VFILTER_METHODS = {"add_view", "add_views"}
-_L1_LIST_METHODS = {"append", "remove", "clear", "extend", "pop", "insert"}
-_L1_DOCUMENT_METHODS = {"invalidate"}
-#: Tree-surgery calls that mutate the base document on any receiver.
-_L1_ANY_RECEIVER_METHODS = {"detach", "add_child"}
-#: The call every mutation must be followed by (plus, transitively,
-#: same-class methods proven to always perform it).
-_L1_SEED = "_invalidate_plans"
-_L1_EXEMPT = {"__init__", _L1_SEED}
-
-
-def _l1_is_mutation(node: ast.AST, fresh: frozenset[str]) -> bool:
-    """Does this single AST node write view/fragment/document state?
-
-    Writes and calls whose receiver chain is rooted in a *fresh* local
-    (see :func:`repro.analysis.dataflow.fresh_locals`) are exempt: an
-    object constructed inside the function has an empty plan cache, so
-    mutating it cannot stale anything that predates the call.
-    """
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    for target in targets:
-        probe = target
-        if isinstance(probe, ast.Subscript):
-            probe = probe.value
-        if isinstance(probe, ast.Attribute):
-            base = _attr_chain(probe.value)
-            if base is not None and base[0] in fresh:
-                continue
-            if base in _L1_SYSTEM and probe.attr in _L1_STATE_ATTRS:
-                return True
-            if base in _L1_DOCUMENT and probe.attr in _L1_DOCUMENT_ATTRS:
-                return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        method = node.func.attr
-        receiver = node.func.value
-        chain = _attr_chain(receiver)
-        if chain is not None and chain[0] in fresh:
-            return False
-        if method in _L1_ANY_RECEIVER_METHODS:
-            return True
-        if chain is not None:
-            if method in _L1_DOCUMENT_METHODS and chain in _L1_DOCUMENT:
-                return True
-            if len(chain) >= 2 and chain[:-1] in _L1_SYSTEM:
-                holder = chain[-1]
-                if holder == "fragments" and method in _L1_FRAGMENT_METHODS:
-                    return True
-                if holder == "vfilter" and method in _L1_VFILTER_METHODS:
-                    return True
-                if holder == "_materialized" and method in _L1_LIST_METHODS:
-                    return True
-    return False
-
-
-def _l1_mutations(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.AST]:
-    fresh = frozenset(fresh_locals(function))
-    return [
-        node for node in _own_nodes(function) if _l1_is_mutation(node, fresh)
-    ]
-
-
-def _l1_calls_guaranteed(node: ast.AST, guaranteed: set[str]) -> bool:
-    """Does the expression (sub)tree call a guaranteed-invalidating
-    method on the system object?"""
-    for probe in ast.walk(node):
-        if isinstance(probe, ast.Call) and isinstance(
-            probe.func, ast.Attribute
-        ):
-            if probe.func.attr in guaranteed:
-                chain = _attr_chain(probe.func.value)
-                if chain in _L1_SYSTEM or chain == ("cls",):
-                    return True
-    return False
-
-
-def _l1_eager_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    """Expressions a statement evaluates unconditionally (before any
-    branching or early exit it introduces)."""
-    if isinstance(stmt, ast.Expr):
-        return [stmt.value]
-    if isinstance(stmt, ast.Assign):
-        return [stmt.value]
-    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-        return [stmt.value]
-    if isinstance(stmt, ast.AugAssign):
-        return [stmt.value]
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, ast.Assert):
-        return [stmt.test]
-    return []
-
-
-def _l1_scan(
-    stmts: list[ast.stmt], called: bool, guaranteed: set[str]
-) -> tuple[bool, bool, bool]:
-    """Abstract interpretation of a statement block.
-
-    Returns ``(falls_through, called_at_end, bad_exit)`` where
-    ``bad_exit`` means some path ``return``s without the invalidation
-    call having happened.  ``raise`` is an exempt exit (a failing
-    operation is allowed to leave plans dropped or not — callers see
-    the exception).  Loops are assumed to run zero times, ``try`` is
-    handled conservatively: neither ever *establishes* the call, but
-    exits inside them are still checked.
-    """
-    bad = False
-    for stmt in stmts:
-        for expr in _l1_eager_exprs(stmt):
-            if _l1_calls_guaranteed(expr, guaranteed):
-                called = True
-        if isinstance(stmt, ast.Return):
-            ok = called or (
-                stmt.value is not None
-                and _l1_calls_guaranteed(stmt.value, guaranteed)
-            )
-            return False, called, bad or not ok
-        if isinstance(stmt, ast.Raise):
-            return False, called, bad
-        if isinstance(stmt, ast.If):
-            body_ft, body_called, body_bad = _l1_scan(
-                stmt.body, called, guaranteed
-            )
-            else_ft, else_called, else_bad = _l1_scan(
-                stmt.orelse, called, guaranteed
-            )
-            bad = bad or body_bad or else_bad
-            if not body_ft and not else_ft:
-                return False, called, bad
-            falling = [
-                flag
-                for through, flag in (
-                    (body_ft, body_called),
-                    (else_ft, else_called),
-                )
-                if through
-            ]
-            called = bool(falling) and all(falling)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            _, _, body_bad = _l1_scan(stmt.body, called, guaranteed)
-            _, _, else_bad = _l1_scan(stmt.orelse, called, guaranteed)
-            bad = bad or body_bad or else_bad
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            with_ft, with_called, with_bad = _l1_scan(
-                stmt.body, called, guaranteed
-            )
-            bad = bad or with_bad
-            if not with_ft:
-                return False, called, bad
-            called = with_called
-        elif isinstance(stmt, ast.Try) or (
-            hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
-        ):
-            _, _, body_bad = _l1_scan(stmt.body, called, guaranteed)
-            bad = bad or body_bad
-            for handler in stmt.handlers:
-                _, _, handler_bad = _l1_scan(handler.body, called, guaranteed)
-                bad = bad or handler_bad
-            _, _, else_bad = _l1_scan(stmt.orelse, called, guaranteed)
-            bad = bad or else_bad
-            final_ft, final_called, final_bad = _l1_scan(
-                stmt.finalbody, called, guaranteed
-            )
-            bad = bad or final_bad
-            if not final_ft:
-                return False, called, bad
-            called = final_called
-    return True, called, bad
-
-
-def _l1_guarantee_set(classdef: ast.ClassDef) -> set[str]:
-    """Fixpoint: same-class methods that perform the invalidation call
-    on every normal exit path (so calling them counts as calling it)."""
-    methods = {
-        member.name: member
-        for member in classdef.body
-        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    guaranteed = {_L1_SEED}
-    changed = True
-    while changed:
-        changed = False
-        for name, function in methods.items():
-            if name in guaranteed:
-                continue
-            falls_through, called, bad = _l1_scan(
-                function.body, False, guaranteed
-            )
-            if not bad and (not falls_through or called):
-                guaranteed.add(name)
-                changed = True
-    return guaranteed
-
-
-@register
-class InvalidatePlansRule(Rule):
-    """L1: state-writing system/maintenance methods must invalidate the
-    plan cache on every exit path (PR 1's total-invalidation contract)."""
-
-    rule_id = "L1"
-    summary = (
-        "methods of the answering system or document editor that write "
-        "view/fragment/document state must call _invalidate_plans() on "
-        "every normal exit path"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        for node in context.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name not in _L1_CLASSES:
-                continue
-            guaranteed = _l1_guarantee_set(node)
-            for member in node.body:
-                if not isinstance(
-                    member, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                if member.name in _L1_EXEMPT:
-                    continue
-                mutations = _l1_mutations(member)
-                if not mutations:
-                    continue
-                if member.name in guaranteed:
-                    continue
-                falls_through, called, bad = _l1_scan(
-                    member.body, False, guaranteed
-                )
-                if bad or (falls_through and not called):
-                    first = min(
-                        getattr(m, "lineno", member.lineno)
-                        for m in mutations
-                    )
-                    yield self.violation(
-                        context,
-                        member,
-                        f"{node.name}.{member.name} mutates answering "
-                        f"state (first write at line {first}) but does "
-                        "not call _invalidate_plans() on every exit "
-                        "path",
-                    )
 
 
 # ======================================================================
@@ -637,7 +346,7 @@ class WallClockRule(Rule):
                     )
             elif isinstance(node, ast.Call):
                 chain = (
-                    _attr_chain(node.func)
+                    attr_chain(node.func)
                     if isinstance(node.func, ast.Attribute)
                     else None
                 )
@@ -739,49 +448,6 @@ class PublicAnnotationsRule(Rule):
                         else None
                     ),
                 )
-
-
-# ======================================================================
-# L6 — interprocedural invalidation (whole-program L1)
-# ======================================================================
-@register
-class InterproceduralInvalidateRule(ProjectRule):
-    """L6: a state mutation *anywhere in the call graph* of a public
-    system/editor/maintenance entry point must be covered by a call
-    path that guarantees ``_invalidate_plans()`` — the interprocedural
-    generalization of L1, which only sees same-class helpers."""
-
-    rule_id = "L6"
-    summary = (
-        "public entry points of the answering system, document editor "
-        "or maintenance modules whose call graph mutates answering "
-        "state must guarantee _invalidate_plans() on every normal exit"
-    )
-
-    def check_project(self, pctx: ProjectContext) -> Iterator[Violation]:
-        facts = pctx.facts
-        for fqname, function in facts.entry_points():
-            if fqname not in facts.mutates_answering:
-                continue
-            if fqname in facts.guaranteed:
-                continue
-            path = facts.mutation_witness(fqname)
-            via = f" (via {' -> '.join(path)})" if path else ""
-            owner = (
-                f"{function.classname}." if function.classname else ""
-            )
-            relpath, lineno = pctx.location_of(fqname)
-            yield Violation(
-                rule=self.rule_id,
-                path=relpath,
-                line=lineno,
-                column=0,
-                message=(
-                    f"{owner}{function.name} mutates answering state"
-                    f"{via} but no call path guarantees "
-                    "_invalidate_plans() on every normal exit"
-                ),
-            )
 
 
 # ======================================================================
@@ -1152,10 +818,11 @@ class _StateRule(ProjectRule):
 
 @register
 class InvalidationCompletenessRule(_StateRule):
-    """L15: rule L1 generalized to the whole derivation DAG — any
-    interprocedural write reaching a ``derived-from`` source must, on
-    every non-raising exit path of every public entry point,
-    invalidate or patch every strict dependent of that source."""
+    """L15: any interprocedural write reaching a ``derived-from``
+    source must, on every non-raising exit path of every public entry
+    point, invalidate or patch every strict dependent of that source —
+    the plan cache (``PlanCache._entries``, derived from the document)
+    included."""
 
     rule_id = "L15"
     summary = (
@@ -1165,7 +832,7 @@ class InvalidationCompletenessRule(_StateRule):
     description = (
         "Per strict edge of the `#: state:` derivation DAG, an "
         "abstract interpretation over the whole-program IR tracks "
-        "(patched, dirty) per control path with L1's monotone-patch "
+        "(patched, dirty) per control path with monotone-patch "
         "semantics: one invalidation of the dependent anywhere in the "
         "call covers every source mutation of that call. Writes are "
         "resolved through aliases (self.system._node_index, a bare "

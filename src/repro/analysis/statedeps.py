@@ -24,9 +24,10 @@ of the PR 6 call-graph/dataflow IR:
 * **L15 — invalidation completeness.**  Any interprocedural write that
   reaches a ``derived-from`` source must, on every non-raising exit
   path of every public entry point, invalidate or patch every strict
-  dependent.  This is the L1 abstract interpretation generalized from
-  ``_invalidate_plans()`` to an arbitrary DAG edge, with the same
-  *monotone* patch semantics L1 documents: one patch of the dependent
+  dependent.  The plan cache is one such dependent
+  (``PlanCache._entries`` is derived from the document), so this is
+  also the check that every write drops the cached plans.  Patch
+  semantics are *monotone*: one patch of the dependent
   anywhere in the call covers every source mutation of that call,
   before or after it (``PathNFA.insert`` nulls ``_compiled`` *first*;
   that is sound because nothing answers from ``_compiled`` mid-call).
@@ -62,7 +63,8 @@ are invoked through; calls resolved to project functions contribute
 their callee's summarized (patches-on-all-exits, may-dirty) facts.
 Document surgery (``detach``/``add_child`` inside the maintenance or
 system modules) writes the document token regardless of receiver
-spelling, exactly like L1's seed analysis.
+spelling — a subscript or call receiver (``nodes[0].detach()``)
+included.
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ Token = tuple[str, str]
 Finding = tuple[str, int, str]
 
 #: Tree-surgery calls that mutate the base document whatever the
-#: receiver is spelled like (``parent.add_child``, ``node.detach``) —
-#: the same seed rule L1 uses, scoped to the modules that own
-#: maintenance so unrelated trees elsewhere do not alias the document.
+#: receiver is spelled like (``parent.add_child``, ``node.detach``,
+#: ``nodes[0].detach``), scoped to the modules that own maintenance so
+#: unrelated trees elsewhere do not alias the document.
 DOC_SURGERY = frozenset({"detach", "add_child"})
 DOC_MODULES = frozenset({"repro.delta.maintenance", "repro.core.system"})
 DOC_TOKEN: Token = ("MaterializedViewSystem", "document")

@@ -9,8 +9,8 @@ Three angles:
   answers still match ground truth — the contracts are *quiet* on a
   correct system;
 * a mutation test: a system whose ``_invalidate_plans`` is a no-op
-  (the exact bug lint rule L1 guards against) serves a stale cached
-  plan, and the sampled plan-consistency contract catches it.
+  (the exact bug lint rules L15 and L7 guard against) serves a stale
+  cached plan, and the sampled plan-consistency contract catches it.
 """
 
 from __future__ import annotations
@@ -151,9 +151,10 @@ def test_no_contract_fires_on_generated_workloads(seed):
 # mutation test: broken invalidation is detected
 # ----------------------------------------------------------------------
 class _BrokenInvalidation(MaterializedViewSystem):
-    """The bug lint rule L1 exists to prevent, injected deliberately."""
+    """The bug lint rules L15 and L7 exist to prevent, injected
+    deliberately."""
 
-    def _invalidate_plans(  # xmvrlint: disable=L1 -- mutation under test
+    def _invalidate_plans(
         self, affected=None
     ) -> tuple[int, int]:
         return 0, 0
@@ -183,7 +184,7 @@ def _stale_plan_via_maintenance(cls):
 
 def test_noop_invalidation_caught_by_plan_consistency():
     # Registration cannot leave a stale plan any more — every published
-    # epoch starts with a fresh plan cache — so the bug class L1 guards
+    # epoch starts with a fresh plan cache — so the bug class L15 guards
     # against is in-place document maintenance forgetting to
     # invalidate.  Inject exactly that; the sampled warm-path
     # consistency check catches the pre-insert plan.

@@ -1,5 +1,5 @@
 """Unit tests for the whole-program analysis framework behind rules
-L6-L9: the mini-IR and freshness analysis (``analysis/dataflow.py``),
+L7-L19: the mini-IR and freshness analysis (``analysis/dataflow.py``),
 call-graph construction and layering (``analysis/callgraph.py``), and
 the interprocedural effect/guarantee/window fixpoints
 (``analysis/effects.py``).
@@ -301,6 +301,23 @@ def test_untyped_receiver_does_not_resolve_by_method_name():
     assert ("Owner._lock", "Pool._lock") not in _lock_edges(project)
 
 
+def test_dynamic_receiver_keeps_the_method_name_and_never_resolves():
+    # A method called on a subscript or a call result keeps its name
+    # (so name-keyed tables such as document surgery still see it) but
+    # is never resolved, though Pool alone defines ``submit``.
+    project = _owner_project(
+        "pools[0].submit(job)\nmake_pool().submit(job)\nreturn hooks[0](job)"
+    )
+    calls = {
+        call.chain
+        for step in project.functions["core.owner:Owner.run"].iter_steps()
+        for call in step.calls
+    }
+    assert {("<dynamic>", "submit"), ("<dynamic>",)} <= calls
+    callees = {callee for _, callee in project.callees("core.owner:Owner.run")}
+    assert callees == {"core.pool:make_pool"}
+
+
 def test_resolve_holders_built_by_project_constructors():
     for body in (
         "return self.built.submit(job)",  # field: constructor in __init__
@@ -421,22 +438,6 @@ def test_mutates_answering_is_reachability_closed():
     for name in ("_low", "_mid", "refresh"):
         assert f"core.system:XMVRSystem.{name}" in facts.mutates_answering
     assert "core.system:XMVRSystem.refresh" not in facts.guaranteed
-
-
-def test_mutation_witness_names_the_call_path():
-    facts = _facts(
-        {
-            "core/system.py": """
-                class XMVRSystem:
-                    def _low(self):
-                        self._materialized.append(1)
-
-                    def refresh(self):
-                        self._low()
-            """
-        }
-    )
-    assert facts.mutation_witness("core.system:XMVRSystem.refresh") == ["_low"]
 
 
 def test_windows_detects_raise_in_the_mutated_region():

@@ -1,9 +1,10 @@
 """Exception-safety regressions for the answering pipeline.
 
-Each test seeds the failure xmvrlint L6/L7 flagged in the pre-fix
-code: an operation that mutates answering state and then raises must
-not leave behind a warm plan cache (or a half-registered view) derived
-from the pre-mutation state.  All of these fail against the pre-fix
+Each test seeds a failure xmvrlint flagged in the pre-fix code (rule
+L7, and the since-retired L6, whose check L15 now carries): an
+operation that mutates answering state and then raises must not leave
+behind a warm plan cache (or a half-registered view) derived from the
+pre-mutation state.  All of these fail against the pre-fix
 ordering (invalidate-last) and pass with invalidate-first plus the
 explicit cleanup handlers.
 """

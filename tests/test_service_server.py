@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 
@@ -247,9 +249,27 @@ def test_debug_slow_rejects_bad_limit(served):
 # ----------------------------------------------------------------------
 # keep-alive connections
 # ----------------------------------------------------------------------
+def _accepted_socket(server, client_end):
+    """The server's accepted socket whose peer is ``client_end``."""
+    httpd = server._httpd
+    with httpd._connections_lock:
+        connections = list(httpd._connections)
+    found = []
+    for connection in connections:
+        try:
+            if connection.getpeername() == client_end:
+                found.append(connection)
+        except OSError:  # a connection another test just closed
+            continue
+    assert len(found) == 1, found
+    return found[0]
+
+
 def test_keep_alive_serves_many_requests_on_one_socket(served):
-    """HTTP/1.1 keeps the connection; TCP_NODELAY keeps each response
-    from waiting on the client's delayed ACK (~40 ms with Nagle)."""
+    """HTTP/1.1 keeps the connection; TCP_NODELAY on the accepted
+    socket keeps each response from waiting on the client's delayed
+    ACK (~40 ms per request with Nagle).  The latency bound is on the
+    median, so one scheduling stall on a busy host cannot fail it."""
     host, port = served.address
     connection = http.client.HTTPConnection(host, port, timeout=10)
     body = json.dumps({"query": "//item/name"})
@@ -266,7 +286,9 @@ def test_keep_alive_serves_many_requests_on_one_socket(served):
             assert response.status == 200
             socket_ids.add(id(connection.sock))
         assert len(socket_ids) == 1
-        assert max(latencies) < 0.040, sorted(latencies)[-5:]
+        accepted = _accepted_socket(served, connection.sock.getsockname())
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert statistics.median(latencies) < 0.040, sorted(latencies)[-5:]
     finally:
         connection.close()
 

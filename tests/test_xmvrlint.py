@@ -1,7 +1,8 @@
 """Self-test corpus for xmvrlint (analysis/engine.py + rules.py).
 
-Each rule L1-L5 gets positive fixtures (seeded violations that must
-fire) and negative fixtures (compliant code that must stay clean),
+Each per-file rule L2-L5 gets positive fixtures (seeded violations
+that must fire) and negative fixtures (compliant code that must stay
+clean), the retired rule L1's fixtures run as annotated L15 twins,
 plus suppression handling, the exit-code contract, JSON output and the
 ``--fix`` return-annotation inserter.
 """
@@ -36,10 +37,23 @@ def _rules_hit(violations):
 
 
 # ----------------------------------------------------------------------
-# L1 — invalidation discipline
+# plan-cache invalidation: the retired rule L1's fixtures as L15 twins
 # ----------------------------------------------------------------------
+# L1 (one class at a time) is retired: its fixtures now carry the
+# `#: state:` annotations the real system declares (the plans are soft
+# state derived from the view pool and the document), and L15 must give
+# the verdict L1 gave.  The test names keep the `l1` of the rule whose
+# fixtures they port.
 L1_MISSING = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def register_view(self, view):
             self._views[view.view_id] = view
             return True
@@ -47,6 +61,14 @@ L1_MISSING = """
 
 L1_EARLY_RETURN = """
     class MaterializedViewSystem:
+        def __init__(self):
+            self.fragments = {}  #: state: hard
+            #: state: soft(derived-from=fragments; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def drop_view(self, view_id):
             self.fragments.drop(view_id)
             if view_id == "skip":
@@ -57,6 +79,14 @@ L1_EARLY_RETURN = """
 
 L1_OK_DIRECT = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def register_view(self, view):
             self._views[view.view_id] = view
             self._invalidate_plans()
@@ -65,6 +95,15 @@ L1_OK_DIRECT = """
 
 L1_OK_TRANSITIVE = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            self.fragments = {}  #: state: hard
+            #: state: soft(derived-from=_views, fragments; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def _admit(self, view):
             self._views[view.view_id] = view
             self._invalidate_plans()
@@ -75,8 +114,23 @@ L1_OK_TRANSITIVE = """
             return self._admit(view)
 """
 
+# Tree surgery counts on any receiver only in the modules that own the
+# document, so this twin lives at repro/delta/maintenance.py.
 L1_OK_BOTH_BRANCHES = """
+    class MaterializedViewSystem:
+        def __init__(self, document):
+            self.document = document  #: state: hard
+            #: state: soft(derived-from=document; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
+
     class DocumentEditor:
+        def __init__(self, system):
+            self.system = system  #: state: hard
+
         def edit(self, node):
             node.detach()
             if node.label == "a":
@@ -88,6 +142,14 @@ L1_OK_BOTH_BRANCHES = """
 
 L1_OK_RAISE = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def register_view(self, view):
             if view.view_id in self._views:
                 raise ValueError("duplicate")
@@ -95,32 +157,45 @@ L1_OK_RAISE = """
             self._invalidate_plans()
 """
 
+# A call inside a loop may run zero times, so it covers no write made
+# before the loop.  (A write and its invalidation inside one loop body
+# is sound: every iteration that writes also invalidates.)
 L1_LOOP_ONLY = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def register_many(self, views):
+            self._views.update(views)
             for view in views:
-                self.fragments.materialize(view.view_id, [])
                 self._invalidate_plans()
             return views
 """
 
 
 def test_l1_fires_on_missing_invalidation(tmp_path):
-    violations = _lint_snippet(tmp_path, "core/bad.py", L1_MISSING, ["L1"])
-    assert _rules_hit(violations) == {"L1"}
+    violations = _lint_snippet(tmp_path, "core/bad.py", L1_MISSING, ["L15"])
+    assert _rules_hit(violations) == {"L15"}
     assert "register_view" in violations[0].message
 
 
 def test_l1_fires_on_uninvalidated_early_return(tmp_path):
-    violations = _lint_snippet(tmp_path, "core/bad.py", L1_EARLY_RETURN, ["L1"])
-    assert _rules_hit(violations) == {"L1"}
+    violations = _lint_snippet(
+        tmp_path, "core/bad.py", L1_EARLY_RETURN, ["L15"]
+    )
+    assert _rules_hit(violations) == {"L15"}
+    assert "drop_view" in violations[0].message
 
 
 def test_l1_loop_body_call_does_not_guarantee(tmp_path):
-    # A call inside a for-loop may run zero times; the rule must not
-    # accept it as covering the method's exit.
-    violations = _lint_snippet(tmp_path, "core/bad.py", L1_LOOP_ONLY, ["L1"])
-    assert _rules_hit(violations) == {"L1"}
+    violations = _lint_snippet(tmp_path, "core/bad.py", L1_LOOP_ONLY, ["L15"])
+    assert _rules_hit(violations) == {"L15"}
+    assert "register_many" in violations[0].message
 
 
 @pytest.mark.parametrize(
@@ -129,16 +204,18 @@ def test_l1_loop_body_call_does_not_guarantee(tmp_path):
     ids=["direct", "transitive", "both-branches", "raise-path"],
 )
 def test_l1_accepts_compliant_methods(tmp_path, source):
-    assert _lint_snippet(tmp_path, "core/ok.py", source, ["L1"]) == []
+    path = "repro/delta/maintenance.py"
+    assert _lint_snippet(tmp_path, path, source, ["L15"]) == []
 
 
 def test_l1_ignores_unchecked_classes(tmp_path):
+    # No `#: state:` annotation, no derivation edge, nothing to check.
     source = """
         class SomethingElse:
             def mutate(self):
                 self._views["x"] = 1
     """
-    assert _lint_snippet(tmp_path, "core/ok.py", source, ["L1"]) == []
+    assert _lint_snippet(tmp_path, "core/ok.py", source, ["L15"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -382,12 +459,20 @@ def test_file_suppression(tmp_path):
 
 
 def test_suppression_on_def_line_covers_method_rule(tmp_path):
+    # L5 reports a method at its `def` line; a pragma there covers it.
     source = """
         class XMVRSystem:
-            def rebuild(self):  # xmvrlint: disable=L1 -- fresh caches
-                self._views = {}
+            def rebuild(self){pragma}
+                self._views = {{}}
     """
-    assert _lint_snippet(tmp_path, "core/x.py", source, ["L1"]) == []
+    unsuppressed = _lint_snippet(
+        tmp_path, "core/x.py", source.format(pragma=":"), ["L5"]
+    )
+    assert _rules_hit(unsuppressed) == {"L5"}
+    suppressed = source.format(
+        pragma=":  # xmvrlint: disable=L5 -- fixture method"
+    )
+    assert _lint_snippet(tmp_path, "core/x.py", suppressed, ["L5"]) == []
 
 
 # ----------------------------------------------------------------------

@@ -696,10 +696,10 @@ def test_bare_pragma_still_suppresses_per_file_rules(tmp_path):
     # rules keep their existing pragma contract.
     source = """
         class XMVRSystem:
-            def rebuild(self):  # xmvrlint: disable=L1
+            def rebuild(self):  # xmvrlint: disable=L5
                 self._views = {}
     """
-    assert _lint_snippet(tmp_path, "core/x.py", source, ["L1"]) == []
+    assert _lint_snippet(tmp_path, "core/x.py", source, ["L5"]) == []
 
 
 def test_disable_file_pragma_still_works_for_concurrency_rules(tmp_path):

@@ -1,6 +1,7 @@
-"""Whole-program rules L6-L9 plus the engine features that ship with
-them: the fact cache, `--baseline` ratchet files, SARIF output,
-`--explain`, rule-range selection, and lintcli edge cases.
+"""Whole-program rules L7-L9 (and the retired rule L6's fixtures as
+L15 twins) plus the engine features that ship with them: the fact
+cache, `--baseline` ratchet files, SARIF output, `--explain`,
+rule-range selection, and lintcli edge cases.
 
 Every rule gets true-positive fixtures (seeded defects that must fire)
 and false-positive fixtures (compliant code that must stay clean —
@@ -52,10 +53,23 @@ def _rules_hit(violations):
 
 
 # ----------------------------------------------------------------------
-# L6 — interprocedural invalidation
+# interprocedural invalidation: the retired rule L6's fixtures as L15
+# twins
 # ----------------------------------------------------------------------
+# L6 (whole program) is retired: its fixtures now carry the `#: state:`
+# annotations the real system declares (the plans are soft state
+# derived from the view pool), and L15 must give the verdict L6 gave.
+# The test names keep the `l6` of the rule whose fixtures they port.
 L6_HELPER_MUTATES = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def _stash(self, view):
             self._views[view.view_id] = view
 
@@ -66,6 +80,14 @@ L6_HELPER_MUTATES = """
 
 L6_TWO_HOPS = """
     class MaterializedViewSystem:
+        def __init__(self):
+            self._materialized = []  #: state: hard
+            #: state: soft(derived-from=_materialized; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def _low(self):
             self._materialized.append(1)
 
@@ -77,6 +99,16 @@ L6_TWO_HOPS = """
 """
 
 L6_MAINTENANCE_ENTRY = """
+    class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
+
     def rebuild(system, views):
         for view in views:
             system._views[view.view_id] = view
@@ -85,6 +117,15 @@ L6_MAINTENANCE_ENTRY = """
 
 L6_FRESH_REOPEN = """
     class MaterializedViewSystem:
+        def __init__(self, path):
+            self._views = {}  #: state: hard
+            self._materialized = []  #: state: hard
+            #: state: soft(derived-from=_views, _materialized; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         @classmethod
         def reopen(cls, path):
             system = cls(path)
@@ -95,6 +136,15 @@ L6_FRESH_REOPEN = """
 
 L6_GUARANTEED_CHAIN = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            self.fragments = {}  #: state: hard
+            #: state: soft(derived-from=_views, fragments; rebuild=answer)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
         def _admit(self, view):
             self._views[view.view_id] = view
             self._invalidate_plans()
@@ -107,6 +157,11 @@ L6_GUARANTEED_CHAIN = """
 
 L6_READ_ONLY_ENTRY = """
     class XMVRSystem:
+        def __init__(self):
+            self._views = {}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {}
+
         def describe(self, view_id):
             return self._views[view_id].pattern
 """
@@ -114,25 +169,27 @@ L6_READ_ONLY_ENTRY = """
 
 def test_l6_fires_when_private_helper_mutates(tmp_path):
     violations = _lint_snippet(
-        tmp_path, "core/system.py", L6_HELPER_MUTATES, ["L6"]
+        tmp_path, "core/system.py", L6_HELPER_MUTATES, ["L15"]
     )
-    assert _rules_hit(violations) == {"L6"}
-    assert "adopt" in violations[0].message
-    # The diagnostic names the mutating callee.
-    assert "_stash" in violations[0].message
+    assert _rules_hit(violations) == {"L15"}
+    assert "XMVRSystem.adopt" in violations[0].message
 
 
 def test_l6_traces_mutation_two_calls_deep(tmp_path):
-    violations = _lint_snippet(tmp_path, "core/system.py", L6_TWO_HOPS, ["L6"])
-    assert _rules_hit(violations) == {"L6"}
+    violations = _lint_snippet(
+        tmp_path, "core/system.py", L6_TWO_HOPS, ["L15"]
+    )
+    assert _rules_hit(violations) == {"L15"}
+    # Only the public entry point is reported, not the private hops.
+    assert len(violations) == 1
     assert "refresh" in violations[0].message
 
 
 def test_l6_watches_maintenance_module_functions(tmp_path):
     violations = _lint_snippet(
-        tmp_path, "core/maintenance.py", L6_MAINTENANCE_ENTRY, ["L6"]
+        tmp_path, "core/maintenance.py", L6_MAINTENANCE_ENTRY, ["L15"]
     )
-    assert _rules_hit(violations) == {"L6"}
+    assert _rules_hit(violations) == {"L15"}
     assert "rebuild" in violations[0].message
 
 
@@ -140,35 +197,27 @@ def test_l6_accepts_mutation_of_freshly_built_system(tmp_path):
     # The reopen pattern: every write lands on an object this function
     # just constructed, so live answering state is untouched.
     assert (
-        _lint_snippet(tmp_path, "core/system.py", L6_FRESH_REOPEN, ["L6"])
+        _lint_snippet(tmp_path, "core/system.py", L6_FRESH_REOPEN, ["L15"])
         == []
     )
 
 
 def test_l6_accepts_guarantee_through_helper(tmp_path):
     assert (
-        _lint_snippet(tmp_path, "core/system.py", L6_GUARANTEED_CHAIN, ["L6"])
+        _lint_snippet(
+            tmp_path, "core/system.py", L6_GUARANTEED_CHAIN, ["L15"]
+        )
         == []
     )
 
 
 def test_l6_accepts_read_only_entry_points(tmp_path):
     assert (
-        _lint_snippet(tmp_path, "core/system.py", L6_READ_ONLY_ENTRY, ["L6"])
+        _lint_snippet(
+            tmp_path, "core/system.py", L6_READ_ONLY_ENTRY, ["L15"]
+        )
         == []
     )
-
-
-def test_l6_suppression_on_def_line(tmp_path):
-    source = """
-        class XMVRSystem:
-            def _stash(self, view):
-                self._views[view.view_id] = view
-
-            def adopt(self, view):  # xmvrlint: disable=L6 -- test override
-                self._stash(view)
-    """
-    assert _lint_snippet(tmp_path, "core/system.py", source, ["L6"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -686,8 +735,6 @@ def test_cli_sarif_output(tmp_path, capsys):
 # ----------------------------------------------------------------------
 def test_explain_returns_design_entries():
     for rule_id, marker in [
-        ("L1", "invalidation"),
-        ("L6", "interprocedural"),
         ("L7", "exception"),
         ("L8", "purity"),
         ("L9", "layering"),
@@ -718,15 +765,23 @@ def test_cli_explain_exits_clean(capsys):
 
 
 def test_rule_range_selection():
-    assert [rule.rule_id for rule in all_rules(["L1-L3"])] == [
-        "L1", "L2", "L3",
-    ]
+    # A range selects the registered rules inside it: the retired ids
+    # L1 and L6 are skipped, not errors.
+    assert [rule.rule_id for rule in all_rules(["L1-L3"])] == ["L2", "L3"]
+    assert [rule.rule_id for rule in all_rules(["L5-L7"])] == ["L5", "L7"]
+    assert len(all_rules(["L1-L19"])) == len(all_rules()) == 17
     # Selection order is preserved: ranges expand in place.
     assert [rule.rule_id for rule in all_rules(["L7-L9", "L2"])] == [
         "L7", "L8", "L9", "L2",
     ]
     with pytest.raises(LintError):
         all_rules(["L9-L7"])
+    # A range that selects nothing, and a plain unknown id, still fail.
+    with pytest.raises(LintError, match="selects no rule"):
+        all_rules(["L1-L1"])
+    for retired in ("L1", "L6"):
+        with pytest.raises(LintError, match=f"unknown rule id.*{retired}"):
+            all_rules([retired])
 
 
 def test_cli_rules_flag_accepts_ranges(tmp_path, capsys):
@@ -738,6 +793,8 @@ def test_cli_rules_flag_accepts_ranges(tmp_path, capsys):
     assert lint_main([str(dirty), "--rules", "L1-L9"]) == EXIT_VIOLATIONS
     assert lint_main([str(dirty), "--rules", "L3-L4"]) == EXIT_CLEAN
     capsys.readouterr()
+    assert lint_main([str(dirty), "--rules", "L1"]) == EXIT_ERROR
+    assert "known: L10" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -756,16 +813,25 @@ def test_multi_rule_disable_file(tmp_path):
 
 
 def test_suppression_on_decorated_def_line(tmp_path):
+    # A decorated method is reported at its `def` line, not at the
+    # decorator, so the pragma goes there.
     source = """
-        def wrap(fn):
+        def _wrap(fn):
             return fn
 
         class XMVRSystem:
-            @wrap
-            def rebuild(self):  # xmvrlint: disable=L1 -- fresh caches
-                self._views = {}
+            @_wrap
+            def rebuild(self){pragma}
+                self._views = {{}}
     """
-    assert _lint_snippet(tmp_path, "core/x.py", source, ["L1"]) == []
+    unsuppressed = _lint_snippet(
+        tmp_path, "core/x.py", source.format(pragma=":"), ["L5"]
+    )
+    assert _rules_hit(unsuppressed) == {"L5"}
+    suppressed = source.format(
+        pragma=":  # xmvrlint: disable=L5 -- fixture method"
+    )
+    assert _lint_snippet(tmp_path, "core/x.py", suppressed, ["L5"]) == []
 
 
 def test_unparsable_file_in_clean_directory_is_exit_2(tmp_path, capsys):
@@ -790,7 +856,7 @@ def test_fix_on_clean_file_changes_nothing(tmp_path, capsys):
 # the repo itself is clean under the full rule set
 # ----------------------------------------------------------------------
 def test_repo_is_clean_under_whole_program_rules():
-    # The full per-file + whole-program rule set (dataflow L6-L9,
+    # The full per-file + whole-program rule set (dataflow L7-L9,
     # concurrency L10-L14, derived-state L15-L19): the real tree must
     # stay clean with zero unjustified suppressions.
     src = Path(__file__).resolve().parent.parent / "src"

@@ -182,6 +182,51 @@ def test_l15_exempts_weak_edges(tmp_path):
     ) == []
 
 
+# Document surgery on a subscript receiver: the call keeps its method
+# name in the IR, so `nodes[0].detach()` writes the document exactly
+# like `first = nodes[0]; first.detach()` does.
+L15_SUBSCRIPT_SURGERY = """
+    class MaterializedViewSystem:
+        def __init__(self, document):
+            self.document = document  #: state: hard
+            #: state: soft(derived-from=document; rebuild=answer)
+            self._plans = {{}}
+
+        def _invalidate_plans(self):
+            self._plans = {{}}
+
+
+    class DocumentEditor:
+        def __init__(self, system):
+            self.system = system  #: state: hard
+
+        def drop_first(self, nodes):
+            {surgery}
+            return nodes
+"""
+
+
+@pytest.mark.parametrize(
+    "surgery",
+    ["nodes[0].detach()", "nodes[0].parent.add_child(nodes[1])",
+     "first = nodes[0]; first.detach()"],
+    ids=["subscript", "subscript-chain", "bound-local"],
+)
+def test_l15_sees_document_surgery_on_any_receiver(tmp_path, surgery):
+    source = L15_SUBSCRIPT_SURGERY.format(surgery=surgery)
+    violations = _lint_snippet(
+        tmp_path, "repro/delta/maintenance.py", source, ["L15", "L7"]
+    )
+    assert _rules_hit(violations) == {"L15"}
+    assert "DocumentEditor.drop_first" in violations[0].message
+    patched = source.replace(
+        "return nodes", "self.system._invalidate_plans()\n            return nodes"
+    )
+    assert _lint_snippet(
+        tmp_path, "repro/delta/maintenance.py", patched, ["L15", "L7"]
+    ) == []
+
+
 # ----------------------------------------------------------------------
 # L16 — derivation shape: acyclicity and hard provenance
 # ----------------------------------------------------------------------
@@ -596,6 +641,36 @@ def test_justified_pragma_suppresses_state_rules(tmp_path):
             pragma="# xmvrlint: disable=L19 -- scratch, never read back"
         ),
         ["L19"],
+    ) == []
+
+
+L15_HELPER_MUTATES = """
+    class XMVRSystem:
+        def __init__(self):
+            self._views = {{}}  #: state: hard
+            #: state: soft(derived-from=_views; rebuild=answer)
+            self._plans = {{}}
+
+        def _stash(self, view):
+            self._views[view.view_id] = view
+
+        def adopt(self, view):
+            self._stash(view)  {pragma}
+"""
+
+
+def test_l15_pragma_on_the_reported_line_needs_a_justification(tmp_path):
+    # L15 reports the line where the source is written (here: the call
+    # into the mutating helper); a pragma there suppresses it only with
+    # a `-- reason`.
+    bare = L15_HELPER_MUTATES.format(pragma="# xmvrlint: disable=L15")
+    violations = _lint_snippet(tmp_path, "core/system.py", bare, ["L15"])
+    assert _rules_hit(violations) == {"L15"}
+    justified = L15_HELPER_MUTATES.format(
+        pragma="# xmvrlint: disable=L15 -- adopted views are never planned"
+    )
+    assert _lint_snippet(
+        tmp_path, "core/system.py", justified, ["L15"]
     ) == []
 
 
