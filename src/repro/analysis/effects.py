@@ -50,7 +50,6 @@ from .callgraph import Project, layer_of
 from .dataflow import (
     INVALIDATE_SEED,
     STATE_CLASSES as _WATCHED_CLASSES,
-    DYNAMIC,
     CallRef,
     FunctionSummary,
     Step,
@@ -311,8 +310,9 @@ def _direct_effect(
             if write.global_write or len(write.chain) > 1 or write.subscript:
                 mutates = True
         for call in step.calls:
-            if call.chain[0] == DYNAMIC:
-                continue
+            # A call on a subscript or call result (``<dynamic>`` head)
+            # never resolves, so it is classified by method name below,
+            # as L14's direct-site check classifies it.
             if _call_clock(call, imports):
                 clock = True
             if _call_io(call, imports):

@@ -209,14 +209,7 @@ def check_plan_consistency(
         system.document.fst,
     )
     cached_result = entry.result
-    if cached_result is None:
-        cached_result = rewrite(
-            entry.selection,
-            entry.pattern,
-            system.fragments,
-            system.document.schema,
-            system.document.fst,
-        )
+    assert cached_result is not None
     if list(cached_result.codes) != list(fresh_result.codes):
         raise ContractViolation(
             f"{context}: cached plan yields {len(cached_result.codes)} "

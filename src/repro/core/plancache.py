@@ -67,8 +67,8 @@ DEFAULT_PLAN_CACHE_SIZE = 1024
 class PlanEntry:
     """One frozen answering plan for a ``(query, strategy)`` pair.
 
-    Exactly one of ``selection`` / ``error`` is set.  ``result`` is
-    filled in lazily after the first rewrite over this plan, so warm
+    Exactly one of ``selection`` / ``error`` is set.  A positive plan
+    also carries the ``result`` of the rewrite that derived it, so warm
     repeats skip the refine → join → extract stage as well.
     """
 

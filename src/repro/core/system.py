@@ -162,7 +162,6 @@ class MaterializedViewSystem:
         fragment_cap: int = DEFAULT_FRAGMENT_CAP,
         store: KVStore | None = None,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        cache_results: bool = True,
         telemetry: Telemetry | None = None,
     ):
         #: state: hard
@@ -172,7 +171,6 @@ class MaterializedViewSystem:
             store, cap_bytes=fragment_cap, document=document
         )
         self._plan_cache_size = plan_cache_size  #: state: hard
-        self._cache_results = cache_results  #: state: hard
         #: state: soft(derived-from=document?; rebuild=intern)
         self._memo = CoverageMemo()
         #: The telemetry bundle every component of this system reports
@@ -259,12 +257,12 @@ class MaterializedViewSystem:
             "Views currently in the answerable pool.",
             fn=lambda: float(len(self._epoch.materialized)),
         )
-        registry.gauge(
+        registry.counter(
             "repro_plan_cache_hits",
             "Cumulative plan-cache hits across epochs.",
             fn=lambda: float(self._plan_counters()[1]["hits"]),
         )
-        registry.gauge(
+        registry.counter(
             "repro_plan_cache_misses",
             "Cumulative plan-cache misses across epochs.",
             fn=lambda: float(self._plan_counters()[1]["misses"]),
@@ -445,7 +443,6 @@ class MaterializedViewSystem:
         store: KVStore,
         fragment_cap: int = DEFAULT_FRAGMENT_CAP,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        cache_results: bool = True,
     ) -> "MaterializedViewSystem":
         """Rebuild a system from a store written in an earlier session.
 
@@ -466,7 +463,6 @@ class MaterializedViewSystem:
             fragment_cap=fragment_cap,
             store=store,
             plan_cache_size=plan_cache_size,
-            cache_results=cache_results,
         )
         definitions: dict[str, str] = {}
         for key, value in store.scan_prefix(cls._DEFINITION_PREFIX):
@@ -829,10 +825,11 @@ class MaterializedViewSystem:
                 result.codes, f"answer({query_key!r}, {strategy})"
             )
 
-        entry = PlanEntry(pattern, filter_result, selection)
-        if self._cache_results:
-            entry.result = result
-        epoch.plan_cache.put(query_key, strategy, entry)
+        epoch.plan_cache.put(
+            query_key,
+            strategy,
+            PlanEntry(pattern, filter_result, selection, result=result),
+        )
 
         self._answers_total.inc(1.0, strategy, "cold")
         self._answer_hist.observe(finished - started, "cold")
@@ -896,20 +893,7 @@ class MaterializedViewSystem:
         lookup_done = self._clock.monotonic()
 
         result = entry.result
-        if result is None:
-            with current_trace().span("rewrite"):
-                result = rewrite(
-                    entry.selection,
-                    entry.pattern,
-                    self.fragments,
-                    self.document.schema,
-                    self.document.fst,
-                    memo=self._memo,
-                    query_key=query_key,
-                    clock=self._clock,
-                )
-            if self._cache_results:
-                entry.result = result
+        assert result is not None
         if checked:
             contracts.check_document_order(
                 result.codes, f"answer({query_key!r}, {strategy}) [warm]"

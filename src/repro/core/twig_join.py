@@ -23,7 +23,10 @@ enumerate only roots inside the Dewey range of the deepest already
 assigned ancestor (:func:`repro.xmltree.dewey.packed_descendant_range`).
 All hot-loop comparisons operate on *packed* codes — order-preserving
 byte strings (:func:`repro.xmltree.dewey.pack_code`) with per-fragment
-precomputed prefix chains — never on int tuples.
+precomputed prefix chains — never on int tuples.  Where a path can land
+on a root's chain depends only on the path's shape and the chain's label
+path (:func:`placements`), so one join places each distinct pair once
+and per root only binds the placement to the root's prefix chain.
 
 The public entry point returns, for a designated extraction unit (the
 Δ-view), the fragments that participate in at least one full join — the
@@ -46,15 +49,99 @@ from ..xpath.ast import Axis, WILDCARD
 from ..xpath.pattern import PatternNode, TreePattern
 from .refine import RefinedUnit
 
-__all__ = ["join_units", "anchor_instantiations", "instantiate_path"]
+__all__ = [
+    "anchor_instantiations",
+    "instantiate_path",
+    "join_units",
+    "path_signature",
+    "placements",
+]
 
 #: A concrete prefix value bound to a skeleton node — a Dewey tuple in
 #: the compatibility API, a packed byte string on the hot path.
 PrefixT = TypeVar("PrefixT")
 
 
-def _label_ok(pattern_label: str, concrete_label: str) -> bool:
-    return pattern_label == WILDCARD or pattern_label == concrete_label
+#: The part of a query root-to-anchor path that decides where it can be
+#: placed on a concrete chain: per node, ``(axis is CHILD, label test)``.
+Signature = tuple[tuple[bool, str], ...]
+
+#: One placement of a path: per path node, the 0-based index into the
+#: chain's prefixes (``depth - 1``) of the concrete node it lands on.
+Slots = tuple[int, ...]
+
+
+def path_signature(path_nodes: Sequence[PatternNode]) -> Signature:
+    """The placement-relevant shape of a query path (see :data:`Signature`)."""
+    return tuple((node.axis is Axis.CHILD, node.label) for node in path_nodes)
+
+
+def placements(
+    signature: Signature, labels: tuple[str, ...]
+) -> tuple[Slots, ...]:
+    """All ways to place a path of shape ``signature`` onto a concrete
+    root-to-node chain with label path ``labels``, the last path node on
+    the chain's last node.  Pure in its two arguments, so one join
+    computes it once per distinct ``(signature, labels)``; depth-first
+    order (shallower placements of earlier nodes first)."""
+    results: list[Slots] = []
+    depth = len(labels)
+    count = len(signature)
+    if count == 0:
+        return ((),) if depth == 0 else ()
+    if count > depth:
+        return ()
+    slots = [0] * count
+    last = count - 1
+
+    def place(index: int, position: int) -> None:
+        # position = prefix length assigned to path node index - 1.
+        child, label = signature[index]
+        if index == last:
+            # The anchor sits on the chain's last node.
+            if (child and position + 1 != depth) or (
+                label != WILDCARD and label != labels[depth - 1]
+            ):
+                return
+            slots[index] = depth - 1
+            results.append(tuple(slots))
+            return
+        # Leave one deeper chain node for each remaining path node.
+        highest = depth - (last - index)
+        if child and position + 1 < highest:
+            highest = position + 1
+        for candidate in range(position + 1, highest + 1):
+            if label != WILDCARD and label != labels[candidate - 1]:
+                continue
+            slots[index] = candidate - 1
+            place(index + 1, candidate)
+
+    place(0, 0)
+    return tuple(results)
+
+
+def _bind(
+    keys: Sequence[int],
+    slots_list: Sequence[Slots],
+    prefixes: Sequence[PrefixT],
+    assignment: dict[int, PrefixT],
+) -> list[dict[int, PrefixT]]:
+    """Turn placements into bindings on one chain: every path node
+    already in ``assignment`` must land on the prefix it is fixed to and
+    is not re-bound; the others are bound to the prefix they land on."""
+    results: list[dict[int, PrefixT]] = []
+    for slots in slots_list:
+        bound: dict[int, PrefixT] = {}
+        for key, slot in zip(keys, slots):
+            prefix = prefixes[slot]
+            fixed = assignment.get(key)
+            if fixed is None:
+                bound[key] = prefix
+            elif fixed != prefix:
+                break
+        else:
+            results.append(bound)
+    return results
 
 
 def instantiate_path(
@@ -74,44 +161,14 @@ def instantiate_path(
     FST-decoded label path (same length).  ``assignment`` holds already
     fixed skeleton nodes; placements must agree with it.  Returns the
     *new* bindings of each consistent placement (not including prior
-    assignments).
+    assignments), in :func:`placements` order.
     """
-    results: list[dict[int, PrefixT]] = []
-    depth = len(prefixes)
-
-    def place(index: int, position: int, bound: dict[int, PrefixT]) -> None:
-        # position = prefix length assigned to path_nodes[index - 1].
-        if index == len(path_nodes):
-            if position == depth:
-                results.append(dict(bound))
-            return
-        node = path_nodes[index]
-        if node.axis is Axis.CHILD:
-            candidates = [position + 1]
-        else:
-            candidates = list(range(position + 1, depth + 1))
-        remaining = len(path_nodes) - index - 1
-        fixed = assignment.get(id(node))
-        for candidate in candidates:
-            if candidate + remaining > depth:
-                break
-            if not _label_ok(node.label, labels[candidate - 1]):
-                continue
-            prefix = prefixes[candidate - 1]
-            if fixed is not None:
-                # Already assigned by another unit: must coincide, and is
-                # not re-recorded (the caller owns its binding).
-                if fixed != prefix:
-                    continue
-                place(index + 1, candidate, bound)
-                continue
-            bound[id(node)] = prefix
-            place(index + 1, candidate, bound)
-            del bound[id(node)]
-        return
-
-    place(0, 0, {})
-    return results
+    return _bind(
+        [id(node) for node in path_nodes],
+        placements(path_signature(path_nodes), labels),
+        prefixes,
+        assignment,
+    )
 
 
 def anchor_instantiations(
@@ -131,24 +188,50 @@ def anchor_instantiations(
 class _Participant:
     refined: RefinedUnit
     path_nodes: list[PatternNode]
+    #: ``id`` of each path node, the binding keys.
+    keys: list[int]
     #: Sorted packed fragment root codes (byte order = document order)
     #: with the parallel per-code packed prefix chains.
     codes: list[PackedCode]
     prefixes: list[tuple[PackedCode, ...]]
+    #: label path -> :func:`placements` of this path's signature; shared
+    #: by every participant of one join with the same signature.
+    placed: dict[tuple[str, ...], tuple[Slots, ...]]
+    signature: Signature
 
 
 def _prepare(units: list[RefinedUnit], query: TreePattern) -> list[_Participant]:
     participants = []
+    memo: dict[Signature, dict[tuple[str, ...], tuple[Slots, ...]]] = {}
     for refined in units:
         path_nodes = refined.unit.anchor.root_path()
+        signature = path_signature(path_nodes)
         codes = [fragment.packed for fragment in refined.fragments]
         prefixes = [fragment.prefixes for fragment in refined.fragments]
         participants.append(
-            _Participant(refined, path_nodes, codes, prefixes)
+            _Participant(
+                refined,
+                path_nodes,
+                [id(node) for node in path_nodes],
+                codes,
+                prefixes,
+                memo.setdefault(signature, {}),
+                signature,
+            )
         )
     # Deeper anchors first: they constrain the assignment the most.
     participants.sort(key=lambda p: -len(p.path_nodes))
     return participants
+
+
+def _placements_of(
+    participant: _Participant, labels: tuple[str, ...]
+) -> tuple[Slots, ...]:
+    found = participant.placed.get(labels)
+    if found is None:
+        found = placements(participant.signature, labels)
+        participant.placed[labels] = found
+    return found
 
 
 def _candidate_indices(
@@ -157,8 +240,7 @@ def _candidate_indices(
     """Index range of fragment roots compatible with the deepest
     assigned ancestor (packed byte-range bisection)."""
     codes = participant.codes
-    anchor = participant.path_nodes[-1]
-    fixed = assignment.get(id(anchor))
+    fixed = assignment.get(participant.keys[-1])
     if fixed is not None:
         index = bisect_left(codes, fixed)
         if index < len(codes) and codes[index] == fixed:
@@ -168,8 +250,8 @@ def _candidate_indices(
     # (longest packed code: on any chain, deeper means more bytes; any
     # assigned ancestor is a sound bound, this one is the tightest).
     bound: PackedCode | None = None
-    for node in participant.path_nodes:
-        code = assignment.get(id(node))
+    for key in participant.keys:
+        code = assignment.get(key)
         if code is not None and (bound is None or len(code) > len(bound)):
             bound = code
     if bound is None:
@@ -190,7 +272,9 @@ def join_units(
     Every unit in ``units`` (including the extraction unit) must
     participate; a root of the extraction unit survives when some global
     assignment of the upper skeleton is consistent with one root from
-    every other unit.
+    every other unit.  Path placements are computed once per distinct
+    ``(signature, label path)`` of this call and then only bound to
+    each root's prefixes.
     """
     participants = _prepare(units, query)
     others = [p for p in participants if p.refined is not extraction_unit]
@@ -201,15 +285,13 @@ def join_units(
             return True
         participant = others[index]
         for position in _candidate_indices(participant, assignment):
-            code = participant.codes[position]
-            labels = fst.decode_packed(code)
-            placements = instantiate_path(
-                participant.path_nodes,
+            labels = fst.decode_packed(participant.codes[position])
+            for bound in _bind(
+                participant.keys,
+                _placements_of(participant, labels),
                 participant.prefixes[position],
-                labels,
                 assignment,
-            )
-            for bound in placements:
+            ):
                 assignment.update(bound)
                 if solve(index + 1, assignment):
                     for key in bound:
@@ -222,14 +304,13 @@ def join_units(
     surviving: list[PackedCode] = []
     for position, code in enumerate(target.codes):
         labels = fst.decode_packed(code)
-        placements = instantiate_path(
-            target.path_nodes, target.prefixes[position], labels, {}
-        )
-        matched = False
-        for bound in placements:
+        for bound in _bind(
+            target.keys,
+            _placements_of(target, labels),
+            target.prefixes[position],
+            {},
+        ):
             if solve(0, bound):
-                matched = True
+                surviving.append(code)
                 break
-        if matched:
-            surviving.append(code)
     return surviving

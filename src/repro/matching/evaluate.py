@@ -115,6 +115,8 @@ class _Evaluator:
 
     def _seed(self, pattern_node: PatternNode) -> set[XMLNode]:
         """Universe nodes matching the pattern node's label + constraints."""
+        if pattern_node.label == WILDCARD and not pattern_node.constraints:
+            return set(self.universe)
         if self.index is not None and pattern_node.label != WILDCARD:
             posting = self.index.with_label(pattern_node.label)
             if not pattern_node.constraints:
@@ -209,6 +211,14 @@ def evaluate_boolean(pattern: TreePattern, tree: XMLTree) -> bool:
     return bool(evaluator.root_hosts(tree.root))
 
 
+def _anchored(
+    pattern: TreePattern, anchor: XMLNode, index: SubtreeIndex | None
+) -> _Evaluator:
+    """Bottom-up sets of ``pattern`` over the subtree of ``anchor``."""
+    nodes = index.nodes if index is not None else list(anchor.iter_subtree())
+    return _Evaluator(pattern, nodes, index)
+
+
 def evaluate_relative(
     pattern: TreePattern,
     anchor: XMLNode,
@@ -223,13 +233,8 @@ def evaluate_relative(
     exactly ``anchor`` (fragments cache one); it replaces the per-call
     subtree scan.
     """
-    if index is not None:
-        subtree_nodes = index.nodes
-    else:
-        subtree_nodes = list(anchor.iter_subtree())
-    evaluator = _Evaluator(pattern, subtree_nodes, index)
-    hosts = evaluator.down[id(pattern.root)]
-    if anchor not in hosts:
+    evaluator = _anchored(pattern, anchor, index)
+    if anchor not in evaluator.down[id(pattern.root)]:
         return set()
     return evaluator.answers_from({anchor})
 
@@ -239,5 +244,16 @@ def satisfies_relative(
     anchor: XMLNode,
     index: SubtreeIndex | None = None,
 ) -> bool:
-    """True when ``pattern`` (anchored at ``anchor``) has any embedding."""
-    return bool(evaluate_relative(pattern, anchor, index))
+    """True when ``pattern`` (anchored at ``anchor``) has any embedding.
+
+    Equals ``bool(evaluate_relative(pattern, anchor, index))`` without
+    the top-down projection: ``anchor`` hosting the root bottom-up means
+    some embedding ``f`` of the whole pattern has ``f(root) = anchor``
+    (the down-sets are exact for tree patterns), and that ``f`` maps
+    every spine node to a node the projection keeps (induction down the
+    spine: ``f`` of each spine node is feasible and lies below ``f`` of
+    its parent, which the projection kept), so ``f(RET)`` is an answer.
+    Conversely an answer needs ``anchor`` in the root's down-set.
+    """
+    evaluator = _anchored(pattern, anchor, index)
+    return anchor in evaluator.down[id(pattern.root)]

@@ -108,16 +108,41 @@ class _Metric:
     def snapshot(self) -> MetricSnapshot:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _snapshot_of(
+        self, cells: dict[tuple[str, ...], float]
+    ) -> MetricSnapshot:
+        """One sample per cell (label values -> value), sorted."""
+        samples = tuple(
+            MetricSample(
+                self.name, _label_items(self.labelnames, key), value
+            )
+            for key, value in sorted(cells.items())
+        )
+        return MetricSnapshot(self.name, self.kind, self.help, samples)
+
 
 class Counter(_Metric):
-    """Monotonically increasing float, optionally labeled."""
+    """Monotonically increasing float, optionally labeled.
+
+    Callback counters (``fn`` given) export a cumulative count their
+    owner already keeps, read at scrape time like a callback
+    :class:`Gauge`, so the counted path pays no ``inc``.  The callback
+    must never go down.
+    """
 
     kind = "counter"
 
     def __init__(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
+        self,
+        name: str,
+        help_text: str,
+        labelnames: Sequence[str] = (),
+        fn: Callable[[], float] | None = None,
     ) -> None:
         super().__init__(name, help_text, labelnames)
+        if fn is not None and labelnames:
+            raise ValueError("callback counters cannot be labeled")
+        self._fn = fn
         self._lock = threading.Lock()
         #: guarded-by: _lock
         self._values: dict[tuple[str, ...], float] = {}
@@ -125,6 +150,8 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, *labelvalues: str) -> None:
         """Add ``amount`` (must be >= 0) to the cell for
         ``labelvalues`` (empty for an unlabeled counter)."""
+        if self._fn is not None:
+            raise ValueError(f"{self.name} is a callback counter")
         if amount < 0:
             raise ValueError("counters only go up")
         if len(labelvalues) != self._arity:
@@ -135,20 +162,18 @@ class Counter(_Metric):
             )
 
     def value(self, *labelvalues: str) -> float:
+        if self._fn is not None:
+            return float(self._fn())
         self._check_labels(labelvalues)
         with self._lock:
             return self._values.get(labelvalues, 0.0)
 
     def snapshot(self) -> MetricSnapshot:
+        if self._fn is not None:
+            return self._snapshot_of({(): float(self._fn())})
         with self._lock:
             cells = dict(self._values)
-        samples = tuple(
-            MetricSample(
-                self.name, _label_items(self.labelnames, key), value
-            )
-            for key, value in sorted(cells.items())
-        )
-        return MetricSnapshot(self.name, self.kind, self.help, samples)
+        return self._snapshot_of(cells)
 
 
 class Gauge(_Metric):
@@ -193,19 +218,10 @@ class Gauge(_Metric):
 
     def snapshot(self) -> MetricSnapshot:
         if self._fn is not None:
-            samples: tuple[MetricSample, ...] = (
-                MetricSample(self.name, (), float(self._fn())),
-            )
-            return MetricSnapshot(self.name, self.kind, self.help, samples)
+            return self._snapshot_of({(): float(self._fn())})
         with self._lock:
             cells = dict(self._values)
-        samples = tuple(
-            MetricSample(
-                self.name, _label_items(self.labelnames, key), value
-            )
-            for key, value in sorted(cells.items())
-        )
-        return MetricSnapshot(self.name, self.kind, self.help, samples)
+        return self._snapshot_of(cells)
 
 
 @dataclass(slots=True)
@@ -392,9 +408,15 @@ class MetricsRegistry:
         return existing
 
     def counter(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
+        self,
+        name: str,
+        help_text: str,
+        labelnames: Sequence[str] = (),
+        fn: Callable[[], float] | None = None,
     ) -> Counter:
-        metric = self._get_or_create(Counter(name, help_text, labelnames))
+        metric = self._get_or_create(
+            Counter(name, help_text, labelnames, fn)
+        )
         assert isinstance(metric, Counter)
         return metric
 

@@ -84,6 +84,21 @@ def test_gauge_callback_and_set_are_exclusive():
     assert plain.value() == pytest.approx(7.5)
 
 
+def test_counter_callback_and_inc_are_exclusive():
+    registry = MetricsRegistry()
+    counts = {"hits": 3.0}
+    counter = registry.counter(
+        "repro_hits", "hits", fn=lambda: counts["hits"]
+    )
+    assert counter.value() == 3.0
+    counts["hits"] = 5.0
+    assert counter.snapshot().samples[0].value == 5.0
+    with pytest.raises(ValueError):
+        counter.inc()
+    with pytest.raises(ValueError):
+        Counter("repro_labeled", "labeled", ("k",), fn=lambda: 1.0)
+
+
 def test_histogram_buckets_sum_and_percentiles():
     histogram = Histogram(
         "repro_lat_seconds", "latency", buckets=(0.01, 0.1, 1.0)
@@ -288,9 +303,9 @@ def test_stats_stage_seconds_equal_histogram_sums(small_system):
 
 def test_metrics_exposition_covers_the_catalog(small_system):
     small_system.answer("//person/name")
-    families = parse_exposition(
-        render_prometheus(small_system.telemetry.registry.collect())
-    )
+    small_system.answer("//person/name")
+    payload = render_prometheus(small_system.telemetry.registry.collect())
+    families = parse_exposition(payload)
     for name in (
         "repro_stage_seconds",
         "repro_answer_seconds",
@@ -305,6 +320,15 @@ def test_metrics_exposition_covers_the_catalog(small_system):
         assert name in families, f"{name} missing from /metrics"
     # The fixture registers its views in one batch: one epoch publish.
     assert families["repro_epoch_swaps_total"].value() == 1.0
+    # Cumulative plan-cache counts are counters, read from the cache's
+    # own tallies at scrape time.
+    plan = small_system.stats()["plan_cache"]
+    assert plan["hits"] >= 1 and plan["misses"] >= 1
+    for outcome in ("hits", "misses"):
+        name = f"repro_plan_cache_{outcome}"
+        assert f"# TYPE {name} counter" in payload.splitlines()
+        assert families[name].kind == "counter"
+        assert families[name].value() == plan[outcome]
     assert families["repro_views_materialized"].value() == 2.0
 
 

@@ -563,6 +563,25 @@ L14_CONDITION_WAIT = """
                 self._gate.wait()
 """
 
+L14_HELPER_DYNAMIC_RECEIVER = """
+    import threading
+
+    class Log:
+        def __init__(self, files):
+            self._lock = threading.Lock()
+            self._files = files
+
+        def _flush(self):
+            self._files[0].write(b"x")
+
+        def append(self):
+            with self._lock:
+                self._flush()
+
+        def append_unlocked(self):
+            self._flush()
+"""
+
 
 def test_l14_fires_on_file_io_under_lock(tmp_path):
     violations = _lint_snippet(tmp_path, "core/t.py", L14_BLOCKING_IO, ["L14"])
@@ -573,6 +592,16 @@ def test_l14_fires_on_file_io_under_lock(tmp_path):
 def test_l14_fires_on_sleep_under_lock(tmp_path):
     violations = _lint_snippet(tmp_path, "core/t.py", L14_SLEEP, ["L14"])
     assert _rules_hit(violations) == {"L14"}
+
+
+def test_l14_fires_on_helper_writing_through_a_subscript(tmp_path):
+    # The helper's write has a subscript receiver, so it never resolves;
+    # its effect is classified by method name, as a direct site is.
+    violations = _lint_snippet(
+        tmp_path, "core/t.py", L14_HELPER_DYNAMIC_RECEIVER, ["L14"]
+    )
+    assert _rules_hit(violations) == {"L14"}
+    assert "'_flush()' may block" in violations[0].message
 
 
 def test_l14_accepts_blocking_allowed_annotation(tmp_path):

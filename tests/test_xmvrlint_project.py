@@ -365,6 +365,17 @@ L8_READS_STATE_PRODUCER = """
             return self._plan_cache.get(key, "MVS")
 """
 
+L8_SUBSCRIPT_MUTATING_PRODUCER = """
+    class XMVRSystem:
+        def _bump(self, query):
+            self._queues[0].append(query)
+            return str(query)
+
+        def answer(self, query):
+            key = self._bump(query)
+            return self._plan_cache.get(key, "MVS")
+"""
+
 
 def test_l8_fires_on_clock_derived_key(tmp_path):
     violations = _lint_snippet(tmp_path, "core/system.py", L8_CLOCK_KEY, ["L8"])
@@ -377,6 +388,14 @@ def test_l8_fires_on_mutating_key_producer(tmp_path):
         tmp_path, "core/system.py", L8_MUTATING_PRODUCER, ["L8"]
     )
     assert _rules_hit(violations) == {"L8"}
+
+
+def test_l8_fires_on_producer_mutating_through_a_subscript(tmp_path):
+    violations = _lint_snippet(
+        tmp_path, "core/system.py", L8_SUBSCRIPT_MUTATING_PRODUCER, ["L8"]
+    )
+    assert _rules_hit(violations) == {"L8"}
+    assert "_bump" in violations[0].message
 
 
 def test_l8_accepts_pure_key_producer(tmp_path):
