@@ -14,11 +14,11 @@ cannot hide itself:
 * :func:`check_vfilter_sound` — every materialized view VFILTER
   dropped has *no* coverage unit for the query, i.e. filtering never
   discards a usable view (the paper's filtering soundness lemma).
-* :func:`check_plan_consistency` — a cache-served plan structurally
-  equals a freshly derived one: same selected view ids and the same
-  answer codes (or, for cached negatives, a fresh derivation also
-  fails).  Catches stale cache entries that survived a missing
-  ``_invalidate_plans()`` call.
+* :func:`check_plan_consistency` — a cache-served plan answers like a
+  freshly derived one: the same answerability, the same answer codes
+  and the same answer content, and its selection still covers the
+  query.  Catches stale cache entries that survived a missing
+  ``_invalidate_plans()`` call or an edit's upkeep that went wrong.
 
 The layer is **off by default**: every hook tests :func:`enabled`,
 which reads ``XMVR_CHECK`` per call, so production pays one dict
@@ -157,13 +157,17 @@ def check_plan_consistency(
     context: str,
     epoch: "RegistryEpoch | None" = None,
 ) -> None:
-    """A cache-served plan must structurally match a fresh derivation.
+    """A cache-served plan must answer like a fresh derivation.
 
     Re-runs filtering + selection without the coverage memo and, for
     positive plans, a fresh rewrite without the plan cache; compares
-    selected view ids and answer codes.  A mismatch means the cache
-    held a plan for a different view pool or document state — i.e. an
-    ``_invalidate_plans()`` call was missed somewhere.
+    answerability, answer codes and each answer's serialised subtree,
+    and re-checks that the cached selection covers the query.  The
+    selected view ids may differ: an edit the plan was maintained
+    across can change the fragment sizes that break selection ties.  A
+    mismatch means the cache held a plan for a different view pool or
+    document state — an ``_invalidate_plans()`` call was missed, or an
+    edit's upkeep patched the answers wrongly.
 
     ``epoch`` pins the registry state for the re-derivation; the
     answering path passes the epoch the cached plan came from so a
@@ -172,6 +176,7 @@ def check_plan_consistency(
     """
     from .rewrite import rewrite
     from ..errors import ViewNotAnswerableError
+    from ..xmltree.serializer import serialize_node
 
     try:
         _, fresh_selection = system._derive_selection(
@@ -193,14 +198,7 @@ def check_plan_consistency(
         )
 
     assert entry.selection is not None
-    cached_ids = sorted(entry.selection.view_ids)
-    fresh_ids = sorted(fresh_selection.view_ids)
-    if cached_ids != fresh_ids:
-        raise ContractViolation(
-            f"{context}: cached plan selects {cached_ids} but a fresh "
-            f"derivation selects {fresh_ids}; stale plan entry"
-        )
-
+    check_selection_covers(entry.selection, entry.pattern, context)
     fresh_result = rewrite(
         fresh_selection,
         entry.pattern,
@@ -216,6 +214,13 @@ def check_plan_consistency(
             f"answer code(s) but a fresh rewrite yields "
             f"{len(fresh_result.codes)}; stale plan entry"
         )
+    for code in fresh_result.codes:
+        cached = serialize_node(cached_result.answers[code])
+        if cached != serialize_node(fresh_result.answers[code]):
+            raise ContractViolation(
+                f"{context}: cached answer at {code} holds content a "
+                f"fresh rewrite does not; stale plan entry"
+            )
 
 
 def check_patched_fragments(

@@ -16,24 +16,30 @@ holds the derived artifacts between calls:
   :class:`~repro.errors.ViewNotAnswerableError` is replayed), so
   repeated misses are as cheap as repeated hits.
 
-**Invalidation.**  A cached plan is valid only while the view pool and
-the base document are unchanged: ``register_view`` can extend the
-candidate sets, and a maintenance insert/delete changes fragments and
-answers.  View-pool changes publish a fresh epoch (and with it a fresh
-cache), so the blanket :meth:`PlanCache.clear` handles them trivially.
-Document edits are *scoped*: each entry records the view ids its plan
-depends on (the VFILTER candidate set united with the selected views —
-a superset of everything the rewrite read), and
-:meth:`PlanCache.invalidate_views` drops exactly the entries whose
-dependencies intersect the edit's affected views, plus entries with no
-recorded filter provenance (``None`` — e.g. the MN strategy, which
-skips VFILTER).  Negative entries depend on no fragments — edits never
-change answerability, which is a function of the view *patterns* — so
-they carry an empty dependency set and survive edits.  The
-coverage memo (:class:`~repro.core.leaf_cover.CoverageMemo`) is *not*
-cleared on document updates — coverage is a pure function of the view
-and query patterns, and view ids are never redefined within a system's
-lifetime.
+**Invalidation and upkeep.**  A cached plan is valid only while the
+view pool and the base document are unchanged: ``register_view`` can
+extend the candidate sets, and a maintenance insert/delete changes
+fragments and answers.  View-pool changes publish a fresh epoch (and
+with it a fresh cache), so the blanket :meth:`PlanCache.clear` handles
+them trivially.  Document edits are *maintained*, the way views are:
+each entry records the view ids its plan depends on (the selected
+views, whose fragments the rewrite read), and that dependency index is
+the cheap first filter: an entry whose dependencies miss the edit's
+affected views read no changed fragment, so its answers stand.  Every
+other entry is *flagged*.  :meth:`PlanCache.invalidate_views`, the
+single per-edit entry point, hands each flagged entry to the editor's
+``maintain`` callback, which returns the entry unchanged, a new entry
+whose answers were patched for the edit, or ``None`` to drop it
+(:mod:`repro.delta.resolver` classifies the entry's query pattern
+before the edit, :func:`repro.delta.patcher.patch_plan` splices its
+answers after it).  A cached :class:`RewriteResult` is never mutated:
+callers may hold it.  Negative entries depend on no fragments — edits
+never change answerability, which is a function of the view
+*patterns* — so they carry an empty dependency set and survive edits.
+The coverage memo (:class:`~repro.core.leaf_cover.CoverageMemo`) is
+*not* cleared on document updates — coverage is a pure function of the
+view and query patterns, and view ids are never redefined within a
+system's lifetime.
 
 Interning: :class:`CoverageUnit` objects reference query pattern nodes
 by identity (``Obligation.node_id`` is an ``id()``), so cached plans are
@@ -47,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from ..errors import ViewNotAnswerableError
 from ..xpath.pattern import TreePattern
@@ -57,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .selection import Selection
     from .vfilter import FilterResult
 
-__all__ = ["PlanCache", "PlanEntry"]
+__all__ = ["PlanCache", "PlanEntry", "PlanUpkeep"]
 
 #: Default maximum number of cached ``(query, strategy)`` plans.
 DEFAULT_PLAN_CACHE_SIZE = 1024
@@ -86,26 +92,17 @@ class PlanEntry:
             str(self.error), uncovered=self.error.uncovered
         )
 
-    def view_dependencies(self) -> frozenset[str] | None:
-        """View ids this plan's validity depends on.
-
-        * negative plans: the empty set — answerability depends only on
-          the view patterns, never on fragments, so edits keep them;
-        * plans with no recorded :class:`FilterResult` (the MN strategy
-          runs without VFILTER): ``None``, meaning "assume everything"
-          — scoped invalidation always drops them;
-        * positive plans: the VFILTER candidate set united with the
-          selected view ids — a superset of every view whose fragments
-          or statistics the derivation could have read.
-        """
-        if self.error is not None:
+    def view_dependencies(self) -> frozenset[str]:
+        """View ids whose fragments this plan's answers were read from:
+        the selected views (empty for a negative plan — answerability
+        depends only on the view patterns, never on fragments).  While
+        none of them changes, the cached answers stand: the rewrite
+        over unchanged fragments returns them again.  Other views'
+        fragment sizes can break selection ties differently after an
+        edit, but any covering selection answers the same."""
+        if self.selection is None:
             return frozenset()
-        if self.filter_result is None:
-            return None
-        deps = set(self.filter_result.candidates)
-        if self.selection is not None:
-            deps.update(self.selection.view_ids)
-        return frozenset(deps)
+        return frozenset(self.selection.view_ids)
 
 
 @dataclass(slots=True)
@@ -120,6 +117,10 @@ class PlanCacheStats:
     scoped_invalidations: int = 0
     plans_dropped: int = 0
     plans_retained: int = 0
+    #: Flagged plans an edit kept (their answers maintained, not
+    #: re-derived), and those of them whose answers it patched.
+    plans_maintained: int = 0
+    plans_spliced: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -130,6 +131,8 @@ class PlanCacheStats:
             "scoped_invalidations": self.scoped_invalidations,
             "plans_dropped": self.plans_dropped,
             "plans_retained": self.plans_retained,
+            "plans_maintained": self.plans_maintained,
+            "plans_spliced": self.plans_spliced,
         }
 
     def absorb(self, other: "PlanCacheStats") -> None:
@@ -143,6 +146,24 @@ class PlanCacheStats:
         self.scoped_invalidations += other.scoped_invalidations
         self.plans_dropped += other.plans_dropped
         self.plans_retained += other.plans_retained
+        self.plans_maintained += other.plans_maintained
+        self.plans_spliced += other.plans_spliced
+
+
+class PlanUpkeep(NamedTuple):
+    """What one invalidation did to the cache: plans dropped, plans
+    left cached, and of the flagged plans those kept (maintained) and
+    those whose answers were patched (spliced)."""
+
+    dropped: int
+    retained: int
+    maintained: int = 0
+    spliced: int = 0
+
+
+#: Per-edit upkeep of one flagged plan: the entry itself, a patched
+#: copy, or None to drop it.
+Maintain = Callable[[tuple[str, str], PlanEntry], "PlanEntry | None"]
 
 
 class PlanCache:
@@ -160,18 +181,15 @@ class PlanCache:
         #: guarded-by: _lock
         #: state: soft(derived-from=MaterializedViewSystem.document; rebuild=_derive_selection)
         self._entries: OrderedDict[tuple[str, str], PlanEntry] = OrderedDict()
-        # Dependency index for scoped invalidation, kept in lockstep
+        # Dependency index for per-edit upkeep, kept in lockstep
         # with _entries (weak edges: the index is bookkeeping over the
         # entries, rebuilt entry-by-entry as put() re-derives them).
         #: guarded-by: _lock
         #: state: soft(derived-from=_entries?; rebuild=put)
-        self._deps: dict[tuple[str, str], frozenset[str] | None] = {}
+        self._deps: dict[tuple[str, str], frozenset[str]] = {}
         #: guarded-by: _lock
         #: state: soft(derived-from=_entries?; rebuild=put)
         self._by_view: dict[str, set[tuple[str, str]]] = {}
-        #: guarded-by: _lock
-        #: state: soft(derived-from=_entries?; rebuild=put)
-        self._all_deps: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         #: guarded-by: _lock (writes)
         #: state: counter
@@ -219,17 +237,13 @@ class PlanCache:
                 self.stats.evictions += 1
             self._index(key, deps)
 
-    def _index(self, key: tuple[str, str], deps: frozenset[str] | None) -> None:
+    def _index(self, key: tuple[str, str], deps: frozenset[str]) -> None:
         self._deps[key] = deps
-        if deps is None:
-            self._all_deps.add(key)
-            return
         for view_id in deps:
             self._by_view.setdefault(view_id, set()).add(key)
 
     def _unindex(self, key: tuple[str, str]) -> None:
         deps = self._deps.pop(key, None)
-        self._all_deps.discard(key)
         if deps:
             for view_id in deps:
                 bucket = self._by_view.get(view_id)
@@ -248,33 +262,68 @@ class PlanCache:
             self._entries = OrderedDict()
             self._deps = {}
             self._by_view = {}
-            self._all_deps = set()
             return dropped
 
-    def invalidate_views(self, view_ids: Iterable[str]) -> tuple[int, int]:
-        """Scoped invalidation for a document edit affecting exactly
-        ``view_ids``: drop the entries whose dependencies intersect the
-        set — plus every entry with no recorded provenance (``None``
-        dependencies) — and keep the rest warm.  Returns
-        ``(dropped, retained)``.
-        """
+    def _flagged(self, view_ids: Iterable[str]) -> set[tuple[str, str]]:
+        """Keys an edit affecting ``view_ids`` may change: entries whose
+        dependencies meet the set."""
+        flagged: set[tuple[str, str]] = set()
+        for view_id in view_ids:
+            flagged |= self._by_view.get(view_id, set())
+        return flagged
+
+    def flagged(
+        self, view_ids: Iterable[str]
+    ) -> list[tuple[tuple[str, str], PlanEntry]]:
+        """The flagged entries (see :meth:`_flagged`), read before an
+        edit so their query patterns can be classified against the
+        pre-edit document."""
         with self._lock:
-            doomed = set(self._all_deps)
-            for view_id in view_ids:
-                doomed |= self._by_view.get(view_id, set())
-            survivors = OrderedDict(
-                (key, entry)
-                for key, entry in self._entries.items()
-                if key not in doomed
+            return [
+                (key, self._entries[key]) for key in self._flagged(view_ids)
+            ]
+
+    def invalidate_views(
+        self, view_ids: Iterable[str], maintain: Maintain | None = None
+    ) -> PlanUpkeep:
+        """Per-edit upkeep for a document edit affecting exactly
+        ``view_ids``: every flagged entry is passed to ``maintain``,
+        kept (in its LRU place) as whatever it returns, or dropped on
+        ``None``; without ``maintain`` every flagged entry is dropped.
+        Unflagged entries stay as they are.  Should ``maintain`` raise,
+        the error propagates with the cache untouched, and the caller
+        must drop every plan (:meth:`clear`)."""
+        with self._lock:
+            entries = self._entries
+            flagged = self._flagged(view_ids)
+            kept: dict[tuple[str, str], PlanEntry] = {}
+            if maintain is not None:
+                for key in flagged:
+                    patched = maintain(key, entries[key])
+                    if patched is not None:
+                        kept[key] = patched
+            spliced = 0
+            for key in flagged:
+                patched = kept.get(key)
+                if patched is None:
+                    del entries[key]
+                    self._unindex(key)
+                elif patched is not entries[key]:
+                    spliced += 1
+                    entries[key] = patched
+            # Reassign unconditionally: the patches above sit inside
+            # conditionals, and the derived-state walker (L15) only
+            # credits writes it can prove happen on every path.
+            self._entries = entries
+            upkeep = PlanUpkeep(
+                len(flagged) - len(kept), len(entries), len(kept), spliced
             )
-            dropped = len(self._entries) - len(survivors)
-            self._entries = survivors
-            for key in doomed:
-                self._unindex(key)
             self.stats.scoped_invalidations += 1
-            self.stats.plans_dropped += dropped
-            self.stats.plans_retained += len(survivors)
-            return dropped, len(survivors)
+            self.stats.plans_dropped += upkeep.dropped
+            self.stats.plans_retained += upkeep.retained
+            self.stats.plans_maintained += upkeep.maintained
+            self.stats.plans_spliced += upkeep.spliced
+            return upkeep
 
     def stats_dict(self) -> dict[str, int]:
         """A consistent snapshot of the counters."""

@@ -62,9 +62,11 @@ from .contained import ContainedResult, maximal_contained_rewriting
 from .leaf_cover import CoverageMemo, CoverageUnit
 from .plancache import (
     DEFAULT_PLAN_CACHE_SIZE,
+    Maintain,
     PlanCache,
     PlanCacheStats,
     PlanEntry,
+    PlanUpkeep,
 )
 from .rewrite import RewriteResult, rewrite
 from .selection import (
@@ -266,6 +268,17 @@ class MaterializedViewSystem:
             "repro_plan_cache_misses",
             "Cumulative plan-cache misses across epochs.",
             fn=lambda: float(self._plan_counters()[1]["misses"]),
+        )
+        registry.counter(
+            "repro_plan_cache_plans_maintained",
+            "Cached plans an edit flagged and kept, answers maintained "
+            "instead of re-derived.",
+            fn=lambda: float(self._plan_counters()[1]["plans_maintained"]),
+        )
+        registry.counter(
+            "repro_plan_cache_plans_spliced",
+            "Maintained plans whose cached answers an edit patched.",
+            fn=lambda: float(self._plan_counters()[1]["plans_spliced"]),
         )
         registry.gauge(
             "repro_plan_cache_entries",
@@ -520,17 +533,22 @@ class MaterializedViewSystem:
     # plan cache plumbing
     # ------------------------------------------------------------------
     def _invalidate_plans(
-        self, affected: Iterable[str] | None = None
-    ) -> tuple[int, int]:
-        """Drop cached plans after a view-pool or document mutation.
+        self,
+        affected: Iterable[str] | None = None,
+        maintain: Maintain | None = None,
+    ) -> PlanUpkeep:
+        """Drop or maintain cached plans after a view-pool or document
+        mutation.
 
         Called by :meth:`register_views` (no argument — blanket clear, and the publish that follows retires
         the cleared cache wholesale) and by
         :class:`~repro.delta.maintenance.DocumentEditor` on edits, which
-        passes the affected view ids so only the plans depending on one
-        of them — plus plans with no recorded filter provenance — are
-        dropped (:meth:`PlanCache.invalidate_views`); everything else
-        stays warm across the edit.  Returns ``(dropped, retained)``.
+        passes the affected view ids and its ``maintain`` callback: the
+        plans that selected one of the affected views are kept as
+        ``maintain`` patches them or dropped
+        (:meth:`PlanCache.invalidate_views`); everything else stays
+        warm across the edit.  Should ``maintain`` raise,
+        every plan is dropped before the error propagates.
 
         The coverage memo carries over epoch swaps: coverage is a pure
         function of the view and query patterns, so registration never
@@ -540,8 +558,14 @@ class MaterializedViewSystem:
         """
         epoch = self._epoch
         if affected is None:
-            return epoch.plan_cache.clear(), 0
-        return epoch.plan_cache.invalidate_views(affected)
+            return PlanUpkeep(epoch.plan_cache.clear(), 0)
+        try:
+            return epoch.plan_cache.invalidate_views(affected, maintain)
+        except BaseException:
+            # An upkeep that did not finish leaves every plan suspect:
+            # the blanket clear.
+            self._invalidate_plans()
+            raise
 
     def _plan_counters(self) -> tuple[RegistryEpoch, dict[str, int]]:
         """Pin one epoch and assemble its cumulative plan-cache

@@ -7,13 +7,15 @@ upkeep of the materialized views and caches:
   summary of one edit (packed Dewey range + concrete label paths);
 * :mod:`repro.delta.resolver` — splits the view pool into untouched /
   patchable / rebuild by running the delta through the VFILTER NFAs,
-  and scopes each flagged view's re-evaluation to the subtree where a
-  predicate can flip;
+  scopes each flagged view's re-evaluation to the subtree where a
+  predicate can flip, and classifies the cached plans those views
+  flag the same way;
 * :mod:`repro.delta.patcher` — splices patchable views' fragments by
-  packed-Dewey range, byte-identical to a full re-materialization;
+  packed-Dewey range, byte-identical to a full re-materialization, and
+  cached plans' answers by code range;
 * :mod:`repro.delta.maintenance` — :class:`DocumentEditor`, the write
-  path tying it together with scoped plan-cache invalidation and
-  base-index patching.
+  path tying it together with plan-cache upkeep and base-index
+  patching.
 """
 
 from .delta import SubtreeDelta
@@ -21,6 +23,7 @@ from .maintenance import DocumentEditor, MaintenanceReport, ViewMaintenance
 from .patcher import FragmentPatcher
 from .resolver import (
     AffectedViews,
+    PlanImpact,
     ViewImpact,
     resolve_affected,
 )
@@ -30,6 +33,7 @@ __all__ = [
     "DocumentEditor",
     "FragmentPatcher",
     "MaintenanceReport",
+    "PlanImpact",
     "SubtreeDelta",
     "ViewImpact",
     "ViewMaintenance",

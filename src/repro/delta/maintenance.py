@@ -19,11 +19,13 @@ the entire document.  This module replaces that with delta propagation:
    scope only; payloads are encoded once per edit and shared across
    views.  Only schema-violating inserts pay a re-evaluation over the
    whole document (a view the cap evicts leaves the pool for good);
-4. the plan cache is invalidated *scoped*: only plans whose recorded
-   view dependencies intersect the affected set (plus plans with no
-   recorded filter provenance) are dropped — the single invalidation
-   point on the edit path is the first statement of
-   :meth:`DocumentEditor._apply_impacts`;
+4. the plan cache is maintained like the views: only plans that
+   selected an affected view are flagged; the resolver
+   classifies each flagged plan's query before the edit, and after it
+   the plan is kept, has its cached answers spliced
+   (:func:`~repro.delta.patcher.patch_plan`), or is dropped — the
+   single plan-cache upkeep point on the edit path is the first
+   statement of :meth:`DocumentEditor._apply_impacts`;
 5. the lazy base-data indexes (node / path / stream) are patched for
    the edited range instead of being reset to ``None``.
 
@@ -36,8 +38,8 @@ the mined schema still fall back to a full re-encode + blanket rebuild
 (the FST alphabet itself changes), as do encode failures mid-edit.
 
 Maintenance deliberately does **not** publish a new registry epoch: the
-epoch's per-epoch ``PlanCache`` must survive the edit so that scoped
-invalidation can retain unaffected plans.  Readers pinned on the
+epoch's per-epoch ``PlanCache`` must survive the edit so that its
+plans can be kept and maintained.  Readers pinned on the
 current epoch observe the patch only after the writer gate releases
 them (the service layer's ``SnapshotEngine.maintain`` drains readers
 first), which is what makes an edit a single linearization point.
@@ -46,9 +48,11 @@ first), which is what makes an edit a single linearization point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ..core import contracts
+from ..core.plancache import PlanEntry
 from ..core.system import MaterializedViewSystem
 from ..core.view import View
 from ..errors import EncodingError, SchemaError
@@ -61,9 +65,9 @@ from ..xmltree.dewey import (
     assign_child_component,
     pack_component,
 )
-from ..xmltree.tree import XMLNode
+from ..xmltree.tree import XMLNode, XMLTree
 from .delta import SubtreeDelta
-from .patcher import FragmentPatcher
+from .patcher import FragmentPatcher, patch_plan
 from .resolver import AffectedViews, ViewImpact, resolve_affected
 
 __all__ = ["MaintenanceReport", "ViewMaintenance", "DocumentEditor"]
@@ -101,9 +105,11 @@ class MaintenanceReport:
     full_reencode: bool = False
     #: Per-view mode + timing, in maintenance order.
     views: list[ViewMaintenance] = field(default_factory=list)
-    #: Scoped plan-cache invalidation outcome.
+    #: Plan-cache upkeep outcome (see ``PlanUpkeep``).
     plans_dropped: int = 0
     plans_retained: int = 0
+    plans_maintained: int = 0
+    plans_spliced: int = 0
     seconds: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
@@ -116,6 +122,8 @@ class MaintenanceReport:
             "views": [view.as_dict() for view in self.views],
             "plans_dropped": self.plans_dropped,
             "plans_retained": self.plans_retained,
+            "plans_maintained": self.plans_maintained,
+            "plans_spliced": self.plans_spliced,
             "seconds": self.seconds,
         }
 
@@ -285,7 +293,11 @@ class DocumentEditor:
         epoch = system.current_epoch()
         started = self._clock.monotonic()
         impacts = resolve_affected(
-            delta, epoch.vfilter, system.fragments, list(epoch.materialized)
+            delta,
+            epoch.vfilter,
+            system.fragments,
+            list(epoch.materialized),
+            epoch.plan_cache,
         )
         self._stage_hist.observe(self._clock.monotonic() - started, "resolve")
         return impacts
@@ -296,28 +308,34 @@ class DocumentEditor:
         """Maintain each affected view and return the report.
 
         The first statement is the edit path's *single* plan-cache
-        invalidation: scoped to the affected view set (plans depending
-        only on untouched views stay warm).
+        upkeep: plans depending only on untouched views stay warm, and
+        of the flagged ones those the resolver kept are patched
+        (:func:`~repro.delta.patcher.patch_plan`), the rest dropped.
         """
         system = self.system
-        dropped, retained = system._invalidate_plans(impacts.affected_ids())
+        upkeep = system._invalidate_plans(
+            impacts.affected_ids(),
+            partial(_maintain_plan, impacts, delta, system.document.tree),
+        )
         report = MaintenanceReport(delta.operation, delta.changed_nodes)
-        report.plans_dropped = dropped
-        report.plans_retained = retained
+        report.plans_dropped = upkeep.dropped
+        report.plans_retained = upkeep.retained
+        report.plans_maintained = upkeep.maintained
+        report.plans_spliced = upkeep.spliced
         report.skipped_views.extend(impacts.untouched)
         if impacts.untouched:
             self._views_total.inc(float(len(impacts.untouched)), "untouched")
         capped: list[str] = []
+        # Coverage depends only on the patterns, but compensation plans
+        # embed fragment statistics — evict for every affected view,
+        # content-only included, in one pass over the memo.
+        system._memo.evict_views(impacts.affected_ids())
         # Payloads encoded during this edit, by packed code: a fragment
         # several views store is re-encoded once.
         encoded: dict[PackedCode, bytes] = {}
         for impact in impacts.impacts:
             view_id = impact.view.view_id
             report.affected_views.append(view_id)
-            # Coverage depends only on the patterns, but compensation
-            # plans embed fragment statistics — evict for every
-            # affected view, content-only included.
-            system._memo.evict_views([view_id])
             started = self._clock.monotonic()
             patched = impact.mode == "patch"
             try:
@@ -500,3 +518,18 @@ class DocumentEditor:
         system._invalidate_plans()
         system._memo.evict_views(view_ids)
         system._evict_materialized(view_ids)
+
+
+def _maintain_plan(
+    impacts: AffectedViews,
+    delta: SubtreeDelta,
+    tree: XMLTree,
+    key: tuple[str, str],
+    entry: PlanEntry,
+) -> PlanEntry | None:
+    """Upkeep of one flagged plan: patched as the resolver classified
+    it, or dropped (None) when it kept no verdict for this entry."""
+    impact = impacts.plans.get(key)
+    if impact is None or impact.entry is not entry:
+        return None
+    return patch_plan(impact, delta, tree)

@@ -25,25 +25,43 @@ every patch.
 Cap accounting matches ``materialize``: if the patched payloads exceed
 ``cap_bytes`` the view is marked capped and the caller evicts it from
 the answerable pool.
+
+:func:`patch_plan` does the same for a cached plan's answers, which
+are a materialised view of its query: the codes in the replaced range
+go, the query's answers under the scope are spliced in, and each
+spliced answer is a copy of the post-edit node with its codes, as a
+fragment decode would give it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable
 
+from ..core.plancache import PlanEntry
+from ..core.rewrite import RewriteResult
 from ..errors import EncodingError
+from ..matching.evaluate import evaluate
 from ..storage.fragments import Fragment, FragmentStore
 from ..storage.serialize import encode_dewey, encode_fragment
 from ..xmltree.builder import EncodedDocument
-from ..xmltree.dewey import PackedCode, packed_descendant_range, packed_is_prefix
-from ..xmltree.tree import XMLNode
+from ..xmltree.dewey import (
+    DeweyCode,
+    PackedCode,
+    descendant_range_key,
+    packed_descendant_range,
+    packed_is_prefix,
+)
+from ..xmltree.tree import XMLNode, XMLTree
 from ..core.view import View
 from .delta import SubtreeDelta
+from .resolver import PlanImpact
 
-__all__ = ["FragmentPatcher"]
+__all__ = ["FragmentPatcher", "patch_plan"]
 
 _PACKED = attrgetter("packed")
+_NODE_PACKED = attrgetter("dewey_packed")
 
 
 class FragmentPatcher:
@@ -114,3 +132,76 @@ class FragmentPatcher:
             )
             encoded[packed] = payload
         return payload
+
+
+def patch_plan(
+    impact: PlanImpact, delta: SubtreeDelta, tree: XMLTree
+) -> PlanEntry:
+    """The cached plan of ``impact`` after ``delta`` (applied to
+    ``tree``): the entry itself when its answers stand, else a new
+    entry whose codes and answers equal a cold derivation's.  The
+    cached :class:`RewriteResult` is never mutated: callers hold it."""
+    entry = impact.entry
+    result = entry.result
+    assert result is not None
+    scope = impact.scope
+    fresh: list[XMLNode] = []
+    if scope is not None:
+        assert scope.dewey is not None
+        low = scope.dewey
+        universe = [*scope.iter_subtree(), *scope.ancestors(), *impact.support]
+        fresh = [
+            node
+            for node in evaluate(entry.pattern, tree, universe)
+            if node.dewey is not None and node.dewey[: len(low)] == low
+        ]
+        fresh.sort(key=_NODE_PACKED)
+    elif delta.operation == "delete":
+        assert delta.root_code is not None
+        low = delta.root_code
+    else:
+        return entry
+    codes = result.codes
+    start = bisect_left(codes, low)
+    stop = bisect_left(codes, descendant_range_key(low)[1], start)
+    if start == stop and not fresh:
+        return entry
+    answers = dict(result.answers)
+    for code in codes[start:stop]:
+        del answers[code]
+    added: list[DeweyCode] = []
+    for node in fresh:
+        assert node.dewey is not None
+        added.append(node.dewey)
+        answers[node.dewey] = _detached_copy(node)
+    return PlanEntry(
+        entry.pattern,
+        entry.filter_result,
+        entry.selection,
+        result=RewriteResult(
+            codes[:start] + added + codes[stop:],
+            answers=answers,
+            refined=result.refined,
+            extraction_view=result.extraction_view,
+            joined_roots=result.joined_roots,
+        ),
+    )
+
+
+def _detached_copy(node: XMLNode) -> XMLNode:
+    """A parentless copy of ``node``'s subtree, codes included."""
+    root = _copy_one(node)
+    stack = [(node, root)]
+    while stack:
+        source, target = stack.pop()
+        for child in source.children:
+            twin = target.add_child(_copy_one(child))
+            stack.append((child, twin))
+    return root
+
+
+def _copy_one(node: XMLNode) -> XMLNode:
+    copy = XMLNode(node.label, text=node.text, attributes=dict(node.attributes))
+    copy.dewey = node.dewey
+    copy.dewey_packed = node.dewey_packed
+    return copy

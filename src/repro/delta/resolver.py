@@ -75,15 +75,27 @@ good.  It keeps its catalog entry, so no later edit lists it as
 affected or skipped, and serving it again takes a registration under a
 new id.  ``MaterializedViewSystem.reopen`` keeps a capped view out in
 the same way.
+
+A cached plan's answers are a materialised view of its query, and the
+same argument maintains them (:meth:`_Edit.classify_plan`).  The plan
+cache's dependency index flags the plans over affected views; a query
+none of whose root-to-leaf paths matches a changed node's label path
+(the test a view's NFA makes) keeps its answer set, since no leaf can
+map into ``S``, and any other query is scoped like a view.  Answers,
+unlike fragments, are not re-encoded in place: a kept answer that is
+an ancestor-or-self of ``S``'s parent stores changed content, so its
+plan is dropped, unless it lies under a predicate flip's scope, whose
+answers the splice copies afresh.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, Mapping
 
+from ..core.plancache import PlanCache, PlanEntry
 from ..core.vfilter import LayeredVFilter, VFilter
 from ..core.view import View
 from ..matching.evaluate import node_matches
@@ -91,15 +103,19 @@ from ..storage.fragments import Fragment, FragmentStore
 from ..storage.index import match_path_steps
 from ..xmltree.dewey import PackedCode, packed_prefixes
 from ..xmltree.tree import XMLNode
-from ..xpath.ast import Axis
-from ..xpath.pattern import PatternNode
+from ..xpath.ast import Axis, WILDCARD
+from ..xpath.pattern import PatternNode, TreePattern
 from .delta import SubtreeDelta
 
 __all__ = [
     "AffectedViews",
+    "PlanImpact",
     "ViewImpact",
     "resolve_affected",
 ]
+
+#: A scoped verdict: reason, splice root and branch support.
+_Scoped = tuple[str, XMLNode, tuple[XMLNode, ...]]
 
 _PACKED = attrgetter("packed")
 
@@ -129,11 +145,28 @@ class ViewImpact:
 
 
 @dataclass(frozen=True, slots=True)
+class PlanImpact:
+    """A flagged cached plan the edit keeps, and how its answers
+    follow the edit (:func:`repro.delta.patcher.patch_plan`)."""
+
+    #: The entry classified (the plan cache keeps it only while it is
+    #: still the cached one).
+    entry: PlanEntry
+    #: Splice root, as for :class:`ViewImpact`; None keeps the cached
+    #: answers, less those inside a deleted subtree.
+    scope: XMLNode | None = None
+    support: tuple[XMLNode, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
 class AffectedViews:
     """Resolver verdict for one delta."""
 
     impacts: tuple[ViewImpact, ...]
     untouched: tuple[str, ...]
+    #: Flagged cached plans the edit keeps, by plan-cache key; a
+    #: flagged plan missing here is dropped.
+    plans: Mapping[tuple[str, str], PlanImpact] = field(default_factory=dict)
 
     def affected_ids(self) -> frozenset[str]:
         return frozenset(impact.view.view_id for impact in self.impacts)
@@ -144,24 +177,25 @@ def resolve_affected(
     vfilter: VFilter | LayeredVFilter,
     fragments: FragmentStore,
     views: list[View],
+    plans: PlanCache | None = None,
 ) -> AffectedViews:
-    """Split ``views`` into untouched / patchable / rebuild for ``delta``."""
+    """Split ``views`` into untouched / patchable / rebuild for
+    ``delta``, and classify the cached ``plans`` the affected views
+    flag."""
     answer_hits: set[str] = set()
     for labels in delta.label_paths:
         answer_hits |= vfilter.accepting_views(labels)
     anchors = packed_prefixes(delta.anchor_packed)
     deleted = delta.packed_range() if delta.operation == "delete" else None
-    edit: _Edit | None = None
+    edit = _Edit(delta)
     impacts: list[ViewImpact] = []
     untouched: list[str] = []
     for view in views:
         view_id = view.view_id
         if view_id in answer_hits:
-            if edit is None:
-                edit = _Edit(delta)
-            impact = edit.classify(view)
-            if impact is not None:
-                impacts.append(impact)
+            scoped = edit.classify(view.pattern)
+            if scoped is not None:
+                impacts.append(ViewImpact(view, "patch", *scoped))
                 continue
         if _stores_any(fragments.fragments(view_id), anchors, deleted):
             impacts.append(
@@ -169,7 +203,15 @@ def resolve_affected(
             )
         else:
             untouched.append(view_id)
-    return AffectedViews(impacts=tuple(impacts), untouched=tuple(untouched))
+    affected = AffectedViews(tuple(impacts), tuple(untouched))
+    if plans is None:
+        return affected
+    kept: dict[tuple[str, str], PlanImpact] = {}
+    for key, entry in plans.flagged(affected.affected_ids()):
+        impact = edit.classify_plan(entry)
+        if impact is not None:
+            kept[key] = impact
+    return replace(affected, plans=kept)
 
 
 def _stores_any(
@@ -198,7 +240,9 @@ class _Edit:
     """One pending edit, seen with and without the edited subtree ``S``
     on the pre-edit tree."""
 
-    __slots__ = ("insert", "subtree", "parent", "chain", "paths")
+    __slots__ = (
+        "insert", "subtree", "parent", "chain", "paths", "labels", "prefixes"
+    )
 
     def __init__(self, delta: SubtreeDelta) -> None:
         self.insert = delta.operation == "insert"
@@ -207,11 +251,14 @@ class _Edit:
         #: Ancestors of ``S``, root first: ``chain[d]`` has depth ``d``.
         self.chain = [*reversed(list(delta.parent.ancestors())), delta.parent]
         self.paths = delta.label_paths
+        self.labels = delta.labels
+        #: Codes of ``S``'s parent and its ancestors, root first.
+        self.prefixes = [node.dewey for node in self.chain]
 
-    def classify(self, view: View) -> ViewImpact | None:
-        """Scope one NFA-flagged view (see the module docstring); None
-        when its answers outside ``S`` cannot change."""
-        spine = view.pattern.ret.root_path()
+    def classify(self, pattern: TreePattern) -> _Scoped | None:
+        """Scope one pattern (see the module docstring); None when its
+        answers outside ``S`` cannot change."""
+        spine = pattern.ret.root_path()
         steps: list[tuple[PatternNode, list[PatternNode], bool]] = []
         exact = True
         for index, step in enumerate(spine):
@@ -230,17 +277,57 @@ class _Edit:
                 if witness is not None:
                     support.extend(witness)
                 elif self._branches(branches, host, with_subtree=True) is not None:
-                    return ViewImpact(
-                        view, "patch", "predicate-flip", host, tuple(support)
-                    )
+                    return "predicate-flip", host, tuple(support)
         spine_steps = [(step.axis, step.label) for step in spine]
         if self.insert and any(
             match_path_steps(spine_steps, path) for path in self.paths
         ):
-            return ViewImpact(
-                view, "patch", "answers-in-subtree", self.subtree, tuple(support)
-            )
+            return "answers-in-subtree", self.subtree, tuple(support)
         return None
+
+    def classify_plan(self, entry: PlanEntry) -> PlanImpact | None:
+        """How a flagged cached plan follows the edit; None drops it.
+
+        Its answer set can change only if a pattern leaf maps into
+        ``S`` (the module docstring's soundness argument), so a pattern
+        none of whose root-to-leaf paths matches a changed node's label
+        path keeps its answers; any other is scoped like a view.  A
+        kept answer that is an ancestor-or-self of ``S``'s parent
+        stores content that changed, so that plan is dropped unless the
+        answer lies under a predicate flip's scope, which the splice
+        re-reads.
+        """
+        result = entry.result
+        if result is None:
+            return None
+        pattern = entry.pattern
+        scoped: _Scoped | None = None
+        if self._leaf_can_map_into_subtree(pattern):
+            scoped = self.classify(pattern)
+        # ``prefixes[d]`` is the code of the ancestor at depth ``d``;
+        # a flip's scope re-reads those from its own depth down.
+        prefixes = self.prefixes
+        if scoped is not None and scoped[0] == "predicate-flip":
+            prefixes = prefixes[: scoped[1].depth()]
+        answers = result.answers
+        if any(code in answers for code in prefixes):
+            return None
+        if scoped is None:
+            return PlanImpact(entry)
+        return PlanImpact(entry, scoped[1], scoped[2])
+
+    def _leaf_can_map_into_subtree(self, pattern: TreePattern) -> bool:
+        """Whether some leaf's root-to-leaf path matches the label path
+        of a node in ``S`` — what a view's NFA tests.  A leaf whose
+        label ``S`` lacks is skipped without building its path."""
+        labels = self.labels
+        for leaf in pattern.leaves():
+            if leaf.label != WILDCARD and leaf.label not in labels:
+                continue
+            steps = [(node.axis, node.label) for node in leaf.root_path()]
+            if any(match_path_steps(steps, path) for path in self.paths):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # existence tests with early exit

@@ -30,7 +30,9 @@ per request).  A request whose body is refused unread (413, or a
 missing or malformed ``Content-Length``) gets ``Connection: close``,
 since its unread bytes would otherwise be parsed as the next request.
 :meth:`QueryServiceServer.shutdown` shuts every open connection down,
-so idle kept-alive handlers end with the server.
+so idle kept-alive handlers end with the server, and a connection that
+sends nothing for :attr:`_Handler.timeout` seconds is closed, so an
+idle client cannot pin a handler thread for the server's lifetime.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    #: Seconds a kept-alive connection may sit idle (or stall inside a
+    #: request) before the handler closes it and its thread ends.  Far
+    #: above any pause of a live client between requests.
+    timeout = 120.0
     #: Injected by :class:`QueryServiceServer` via subclassing.
     service: "QueryServiceServer"
 

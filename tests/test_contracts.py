@@ -24,7 +24,10 @@ from hypothesis import strategies as st
 from conftest import random_pattern, random_tree
 from repro.core import contracts
 from repro.core.contracts import ContractViolation
+from repro.delta import resolver
 from repro.delta.maintenance import DocumentEditor
+from repro.delta.resolver import PlanImpact
+from repro.core.plancache import PlanUpkeep
 from repro.core.selection import Selection
 from repro.core.system import MaterializedViewSystem
 from repro.core.vfilter import FilterResult
@@ -154,10 +157,8 @@ class _BrokenInvalidation(MaterializedViewSystem):
     """The bug lint rules L15 and L7 exist to prevent, injected
     deliberately."""
 
-    def _invalidate_plans(
-        self, affected=None
-    ) -> tuple[int, int]:
-        return 0, 0
+    def _invalidate_plans(self, affected=None, maintain=None) -> PlanUpkeep:
+        return PlanUpkeep(0, 0)
 
 
 def _small_system(cls):
@@ -191,6 +192,23 @@ def test_noop_invalidation_caught_by_plan_consistency():
     system, _ = _stale_plan_via_maintenance(_BrokenInvalidation)
     with pytest.raises(ContractViolation, match="stale plan entry"):
         system.answer("//s/p", "HV")
+
+
+def test_stale_answer_content_caught_by_plan_consistency(monkeypatch):
+    # An edit's upkeep that keeps every flagged plan as cached: the
+    # insert leaves the answer set of //b/s alone but changes the
+    # content of the section it lands in.
+    monkeypatch.setattr(
+        resolver._Edit, "classify_plan", lambda self, entry: PlanImpact(entry)
+    )
+    doc = encode_tree(build_tree(("b", ["t", ("s", ["t", "p"])])))
+    system = MaterializedViewSystem(doc)
+    system.register_view("vs", "//b/s")
+    system.answer("//b/s", "HV")
+    section = system.document.tree.root.children[1]
+    DocumentEditor(system).insert_subtree(section.dewey, XMLNode("t"))
+    with pytest.raises(ContractViolation, match="holds content"):
+        system.answer("//b/s", "HV")
 
 
 def test_registration_is_structurally_invalidating():

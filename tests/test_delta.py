@@ -10,10 +10,11 @@ Covers the pieces the coarse maintenance tests don't:
 * patcher byte-identity — patched fragment payloads equal a fresh
   re-materialization byte for byte, and the report proves the scoped
   *patch* path (not a hidden rebuild) produced them;
-* scoped plan-cache invalidation — the satellite regression for the old
-  double-``_invalidate_plans`` edit path: one counted invalidation per
-  edit, plans over untouched views stay warm, assume-all plans (MN, no
-  filter provenance) always drop;
+* plan-cache upkeep — one counted invalidation per edit (the old
+  double-``_invalidate_plans`` edit path is gone), plans over untouched
+  views stay warm, plans over affected views are kept, spliced or
+  dropped as their answers dictate, and every plan an edit kept answers
+  like a cold system;
 * maintenance linearizability under the epoch registry — concurrent
   readers see the pre-edit or post-edit answer, never a mix, and
   maintenance publishes **no** epoch;
@@ -50,6 +51,7 @@ from repro.workload.querygen import (
 from repro.workload.xmark import generate_xmark_document
 from repro.storage.serialize import encode_dewey, encode_fragment
 from repro.xmltree import XMLNode, build_tree
+from repro.xmltree.serializer import serialize_node
 from repro.xpath.ast import Axis
 from repro.xpath.pattern import PatternNode, TreePattern
 
@@ -325,17 +327,24 @@ class TestScopedInvalidation:
         system = _system({"VT": "//b/t", "VP": "//s/p"})
         editor = DocumentEditor(system)
         system.answer("//b/t")
-        system.answer("//s/p")
+        before = system.answer("//s/p")
         report = editor.insert_subtree(
             _first_section(system).dewey, XMLNode("p")
         )
         assert report.affected_views == ["VP"]
-        assert report.plans_dropped >= 1 and report.plans_retained >= 1
-        warm = system.answer("//b/t")
-        assert warm.plan_cache_hit
-        refreshed = system.answer("//s/p")
-        assert not refreshed.plan_cache_hit
-        assert refreshed.codes == system.direct_codes("//s/p")
+        # //s/p depends on VP, so the edit flags it; the new p is an
+        # answer, spliced in.  //b/t is not flagged at all.
+        assert (report.plans_dropped, report.plans_retained) == (0, 2)
+        assert (report.plans_maintained, report.plans_spliced) == (1, 1)
+        assert system.answer("//b/t").plan_cache_hit
+        spliced = system.answer("//s/p")
+        assert spliced.plan_cache_hit
+        assert spliced.codes == system.direct_codes("//s/p")
+        assert len(spliced.codes) == len(before.codes) + 1
+        # The cached result the first answer returned is never patched
+        # in place.
+        assert spliced.rewrite_result is not before.rewrite_result
+        assert before.rewrite_result.codes == before.codes
 
     def test_edit_affecting_nothing_retains_every_filtered_plan(self):
         system = _system({"VT": "//b/t", "VP": "//s/p"})
@@ -349,19 +358,67 @@ class TestScopedInvalidation:
         assert system.answer("//b/t").plan_cache_hit
         assert system.answer("//s/p").plan_cache_hit
 
-    def test_assume_all_plans_always_drop(self):
-        # MN plans carry no VFILTER provenance — their dependency set is
-        # unknowable, so every edit must drop them even when it touches
-        # no view at all.
+    def test_mn_plans_depend_on_their_selected_views(self):
+        # MN selects without VFILTER, but like every strategy its plan
+        # read only the fragments of the views it selected: an edit
+        # that touches none of them keeps it as it is, and one that
+        # touches them maintains it.
         system = _system({"VT": "//b/t", "VP": "//s/p"})
         editor = DocumentEditor(system)
         system.answer("//s/p", "MN")
         report = editor.insert_subtree(_first_section(system).dewey, XMLNode("t"))
         assert report.affected_views == []
-        assert report.plans_dropped == 1
-        stale = system.answer("//s/p", "MN")
-        assert not stale.plan_cache_hit
-        assert stale.codes == system.direct_codes("//s/p")
+        assert (report.plans_dropped, report.plans_maintained) == (0, 0)
+        kept = system.answer("//s/p", "MN")
+        assert kept.plan_cache_hit
+        assert kept.codes == system.direct_codes("//s/p")
+        # A p under the section is a new answer: spliced in.
+        report = editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
+        assert report.affected_views == ["VP"]
+        assert (report.plans_maintained, report.plans_spliced) == (1, 1)
+        spliced = system.answer("//s/p", "MN")
+        assert spliced.plan_cache_hit
+        assert spliced.codes == system.direct_codes("//s/p")
+        assert len(spliced.codes) == len(kept.codes) + 1
+
+    def test_wildcard_leaf_is_scoped_whatever_the_labels(self):
+        # A * leaf matches a node of any label: no label test can keep
+        # the plan, the scoping test must see the new answer.
+        system = _system({"VW": "//s/*"})
+        editor = DocumentEditor(system)
+        before = system.answer("//s/*")
+        report = editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
+        assert (report.plans_maintained, report.plans_spliced) == (1, 1)
+        after = system.answer("//s/*")
+        assert after.plan_cache_hit
+        assert after.codes == system.direct_codes("//s/*")
+        assert len(after.codes) == len(before.codes) + 1
+
+    def test_answer_whose_content_changed_drops_the_plan(self):
+        system = _system({"VS": "//b/s"})
+        editor = DocumentEditor(system)
+        system.answer("//b/s")
+        # The first section is an answer, and the new t lands inside it.
+        report = editor.insert_subtree(_first_section(system).dewey, XMLNode("t"))
+        assert (report.plans_dropped, report.plans_maintained) == (1, 0)
+        fresh = system.answer("//b/s")
+        assert not fresh.plan_cache_hit
+        assert fresh.codes == system.direct_codes("//b/s")
+
+    def test_failed_plan_upkeep_drops_every_plan(self, monkeypatch):
+        system = _system({"VT": "//b/t", "VP": "//s/p"})
+        editor = DocumentEditor(system)
+        system.answer("//b/t")
+        system.answer("//s/p")
+
+        def broken(impact, delta, tree):
+            raise RuntimeError("upkeep failed")
+
+        monkeypatch.setattr(maintenance, "patch_plan", broken)
+        with pytest.raises(RuntimeError, match="upkeep failed"):
+            editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
+        # //b/t was not even flagged, but no plan outlives the failure.
+        assert len(system.current_epoch().plan_cache) == 0
 
     def test_schema_violating_insert_invalidates_plans_once(self):
         system = _system({"VT": "//b/t", "VP": "//s/p"})
@@ -682,6 +739,27 @@ def _branching_view(rng: random.Random, root_label: str) -> TreePattern:
     return TreePattern(root, answer)
 
 
+def _assert_cached_plans_fresh(system: MaterializedViewSystem) -> None:
+    """Every positive plan still cached answers like direct evaluation,
+    and its answer subtrees serialise like a cold system's."""
+    cold = MaterializedViewSystem(system.document, plan_cache_size=0)
+    cold.register_views(
+        {view.view_id: view.pattern for view in system.materialized_views()}
+    )
+    cache = system.current_epoch().plan_cache
+    for (query, strategy), entry in list(cache._entries.items()):
+        if entry.result is None:
+            continue
+        codes = entry.result.codes
+        assert codes == system.direct_codes(entry.pattern), (query, strategy)
+        fresh = cold.answer(entry.pattern, strategy)
+        assert fresh.codes == codes, (query, strategy)
+        for code in codes:
+            assert serialize_node(entry.result.answers[code]) == serialize_node(
+                fresh.rewrite_result.answers[code]
+            ), (query, strategy, code)
+
+
 @settings(
     max_examples=25,
     deadline=None,
@@ -690,6 +768,9 @@ def _branching_view(rng: random.Random, root_label: str) -> TreePattern:
 @given(st.integers(0, 10**9))
 @example(2146)  # a delete once left a later sibling with a wrong code
 def test_random_edit_sequences_keep_views_byte_identical(seed):
+    """...and every cached plan the edits kept answers like a cold
+    system: HV and MN plans for random queries and for each view's own
+    expression are warmed before every edit."""
     rng = random.Random(seed)
     tree = random_tree(rng, max_nodes=25, max_depth=4)
     system = MaterializedViewSystem(encode_tree(tree))
@@ -700,7 +781,12 @@ def test_random_edit_sequences_keep_views_byte_identical(seed):
             f"b{index}", _branching_view(rng, system.document.tree.root.label)
         )
     editor = DocumentEditor(system)
+    queries = [random_pattern(rng, max_nodes=4) for _ in range(3)]
     for _ in range(3):
+        warmed = queries + [view.pattern for view in system.materialized_views()]
+        for pattern in warmed:
+            for strategy in ("HV", "MN"):
+                system.try_answer(pattern, strategy)
         nodes = list(system.document.tree.iter_nodes())
         if rng.random() < 0.6 or len(nodes) < 4:
             parent = rng.choice(nodes)
@@ -715,7 +801,65 @@ def test_random_edit_sequences_keep_views_byte_identical(seed):
             assert _stored_payloads(
                 system, view.view_id
             ) == _expected_payloads(system, view), view.to_xpath()
+        _assert_cached_plans_fresh(system)
         query = random_pattern(rng, max_nodes=4)
         outcome = system.try_answer(query)
         if outcome is not None:
             assert outcome.codes == system.direct_codes(query)
+
+
+def _admitted_subtree(rng: random.Random, schema, parent: XMLNode) -> XMLNode | None:
+    """A one- or two-node subtree the schema admits under ``parent``
+    (labels it already admits there), or None when it admits none."""
+    if not parent.children:
+        return None
+    root = XMLNode(rng.choice(parent.children).label)
+    grandchildren = sorted({
+        grandchild.label
+        for sibling in parent.children
+        if sibling.label == root.label
+        for grandchild in sibling.children
+    })
+    if grandchildren and rng.random() < 0.5:
+        root.new_child(rng.choice(grandchildren))
+    for node in root.iter_subtree():
+        for child in node.children:
+            schema.child_position(node.label, child.label)
+    return root
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_delta_edits_keep_every_surviving_code(seed):
+    """Schema-admitted inserts and deletes never renumber: every node
+    that survives an edit keeps its ``dewey`` and ``dewey_packed``, and
+    an inserted root sorts after all its existing siblings.  Keeping a
+    cached plan across an edit rests on this."""
+    rng = random.Random(seed)
+    system = MaterializedViewSystem(encode_tree(random_tree(rng, max_nodes=25)))
+    editor = DocumentEditor(system)
+    tree = system.document.tree
+    for _ in range(6):
+        codes = {
+            node: (node.dewey, node.dewey_packed) for node in tree.iter_nodes()
+        }
+        nodes = list(codes)
+        parents = [node for node in nodes if node.children]
+        if not parents:
+            break
+        inserted = None
+        if rng.random() < 0.6 or len(nodes) < 4:
+            parent = rng.choice(parents)
+            inserted = _admitted_subtree(rng, system.document.schema, parent)
+            report = editor.insert_subtree(parent.dewey, inserted)
+            assert not report.full_reencode
+        else:
+            victim = rng.choice([node for node in nodes if node.parent is not None])
+            editor.delete_subtree(victim.dewey)
+        for node in tree.iter_nodes():
+            if node in codes:
+                assert (node.dewey, node.dewey_packed) == codes[node]
+        if inserted is not None:
+            for sibling in inserted.parent.children[:-1]:
+                assert sibling.dewey < inserted.dewey
+                assert sibling.dewey_packed < inserted.dewey_packed

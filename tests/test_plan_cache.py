@@ -4,10 +4,10 @@ The invariants under test:
 
 1. Warm (cached-plan) answers are identical to cold answers, for every
    strategy, including negative (unanswerable) outcomes.
-2. ``register_view`` and maintenance inserts/deletes invalidate the
-   plan cache — a warm system never serves answers a cold system built
-   at the same state would not produce (property test interleaving all
-   three operations).
+2. ``register_view`` invalidates the plan cache, and maintenance
+   inserts/deletes drop or patch the plans they flag — a warm system
+   never serves answers a cold system built at the same state would
+   not produce (property test interleaving all three operations).
 3. The coverage memo serves repeated (view, query) pairs without
    recomputation and across strategies.
 4. Batch registration produces a byte-identical fragment store to
@@ -168,7 +168,7 @@ def test_register_view_unlocks_cached_negative():
     assert outcome.codes == system.direct_codes("s[p]/f")
 
 
-def test_maintenance_insert_invalidates_plans():
+def test_maintenance_insert_splices_cached_plan():
     system = _book_system()
     query = "s[t]/p"
     before = system.answer(query)
@@ -177,23 +177,26 @@ def test_maintenance_insert_invalidates_plans():
     target = next(
         node for node in system.document.tree.iter_nodes() if node.label == "s"
     )
-    editor.insert_subtree(target.dewey, XMLNode("p"))
+    report = editor.insert_subtree(target.dewey, XMLNode("p"))
+    assert (report.plans_maintained, report.plans_spliced) == (1, 1)
     after = system.answer(query)
-    assert not after.plan_cache_hit
+    assert after.plan_cache_hit
     assert after.codes == system.direct_codes(query)
     assert len(after.codes) == len(before.codes) + 1
 
 
-def test_maintenance_delete_invalidates_plans():
+def test_maintenance_delete_drops_cached_answers_by_range():
     system = _book_system()
     query = "s[t]/p"
     before = system.answer(query)
     target = min(code for code in before.codes)
-    DocumentEditor(system).delete_subtree(target)
+    report = DocumentEditor(system).delete_subtree(target)
+    assert (report.plans_maintained, report.plans_spliced) == (1, 1)
     after = system.answer(query)
-    assert not after.plan_cache_hit
+    assert after.plan_cache_hit
     assert after.codes == system.direct_codes(query)
     assert target not in after.codes
+    assert target not in after.rewrite_result.answers
 
 
 # ----------------------------------------------------------------------

@@ -374,6 +374,42 @@ def test_shutdown_ends_open_keep_alive_connections():
         connection.close()
 
 
+def test_idle_keep_alive_connection_is_closed_after_the_timeout():
+    """A client that connects and sends nothing does not pin a handler
+    thread: the handler's socket timeout closes the connection."""
+    system = MaterializedViewSystem(
+        encode_tree(generate_xmark(scale=0.05, seed=3))
+    )
+    engine = SnapshotEngine(system)
+    server = QueryServiceServer(
+        engine, QueryScheduler(engine, workers=1, queue_limit=4)
+    )
+    assert server._httpd.RequestHandlerClass.timeout >= 60
+
+    class _QuickHandler(server._httpd.RequestHandlerClass):
+        timeout = 0.3
+
+    server._httpd.RequestHandlerClass = _QuickHandler
+    server.start()
+    try:
+        silent = socket.create_connection(server.address, timeout=10)
+        try:
+            started = time.monotonic()
+            assert silent.recv(1) == b""  # the server closed it
+            assert time.monotonic() - started < 5.0
+        finally:
+            silent.close()
+        deadline = time.monotonic() + 5.0
+        while server._httpd._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._httpd._connections
+        # The server still serves new connections.
+        status, body, _ = _call(server, "GET", "/healthz")
+        assert status == 200 and body["status"] == "ok"
+    finally:
+        server.shutdown()
+
+
 def test_shutdown_of_a_server_that_never_served_returns():
     """``ThreadingHTTPServer.shutdown`` waits for a serve loop to
     acknowledge; a server that never served has none, so ``shutdown``

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.system import AnswerOutcome, MaterializedViewSystem
+from repro.delta import DocumentEditor
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -42,6 +43,7 @@ from repro.service import (
     error_payload,
 )
 from repro.workload.xmark import generate_xmark
+from repro.xmltree import XMLNode
 from repro.xmltree.builder import encode_tree
 
 
@@ -330,6 +332,29 @@ def test_metrics_exposition_covers_the_catalog(small_system):
         assert families[name].kind == "counter"
         assert families[name].value() == plan[outcome]
     assert families["repro_views_materialized"].value() == 2.0
+
+
+def test_plan_upkeep_counters_are_counters_equal_to_stats(small_system):
+    small_system.answer("//item/name")
+    editor = DocumentEditor(small_system)
+    item = small_system.document.tree.nodes_with_label("item")[0]
+    (name,) = item.find_children("name")
+    # The deleted name leaves the cached answers by range; the inserted
+    # one is spliced in.  Both times the plan stays cached.
+    editor.delete_subtree(name.dewey)
+    editor.insert_subtree(item.dewey, XMLNode("name", text="new"))
+    warm = small_system.answer("//item/name")
+    assert warm.plan_cache_hit
+    assert warm.codes == small_system.direct_codes("//item/name")
+    plan = small_system.stats()["plan_cache"]
+    assert plan["plans_maintained"] == plan["plans_spliced"] == 2
+    payload = render_prometheus(small_system.telemetry.registry.collect())
+    families = parse_exposition(payload)
+    for key in ("plans_maintained", "plans_spliced"):
+        name = f"repro_plan_cache_{key}"
+        assert f"# TYPE {name} counter" in payload.splitlines()
+        assert families[name].kind == "counter"
+        assert families[name].value() == plan[key]
 
 
 def test_answer_records_span_tree_when_traced(small_system):
