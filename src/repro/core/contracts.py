@@ -19,6 +19,9 @@ cannot hide itself:
   and the same answer content, and its selection still covers the
   query.  Catches stale cache entries that survived a missing
   ``_invalidate_plans()`` call or an edit's upkeep that went wrong.
+* :func:`check_patched_fragments` — a view an edit maintained stores
+  exactly the bytes a fresh materialization would, and every fragment
+  tree already built in memory equals a decode of its payload.
 
 The layer is **off by default**: every hook tests :func:`enabled`,
 which reads ``XMVR_CHECK`` per call, so production pays one dict
@@ -38,6 +41,8 @@ from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..xmltree.dewey import DeweyCode
+    from ..xmltree.schema import DocumentSchema
+    from ..xmltree.tree import XMLNode
     from ..xpath.pattern import TreePattern
     from .plancache import PlanEntry
     from .selection import Selection
@@ -232,9 +237,18 @@ def check_patched_fragments(
     Re-evaluates the pattern from scratch (no delta, no restricted
     universe), encodes the answers exactly as
     :meth:`FragmentStore.materialize` would, and compares the stored
-    payload bytes one-for-one.  Any divergence — a missed splice, an
-    un-re-encoded ancestor fragment, an ordering slip — is a patcher
-    bug, never a caller error.
+    payload bytes one-for-one, and the view's recorded byte total with
+    their sum.  Any divergence — a missed splice, an un-re-encoded
+    ancestor fragment, an ordering slip, a total tracked wrong through
+    the splice — is a patcher bug, never a caller error.
+
+    Every fragment whose tree is already built (decoded by a read, or
+    handed over by the patcher as a copy of the live subtree) must
+    also equal a decode of its payload, re-stamped with the codes
+    unless the tree is an unstamped decode: labels, text, attributes,
+    child order, ``dewey`` and ``dewey_packed``, with a parentless
+    root.  The in-memory copy is what reads use, so it must not drift
+    from the bytes.
     """
     from ..matching.evaluate import evaluate
     from ..storage.serialize import encode_dewey, encode_fragment
@@ -253,13 +267,57 @@ def check_patched_fragments(
             f"{context}: view {view.view_id!r} exceeds the fragment cap "
             f"when re-materialized fresh, but the delta patch kept it"
         )
-    actual = [
-        fragment.payload
-        for fragment in system.fragments.fragments(view.view_id)
-    ]
+    stored = system.fragments.fragments(view.view_id)
+    actual = [fragment.payload for fragment in stored]
     if actual != expected:
         raise ContractViolation(
             f"{context}: view {view.view_id!r} patched fragments diverge "
             f"from a full re-materialization ({len(actual)} stored vs "
             f"{len(expected)} expected payloads)"
         )
+    recorded = system.fragments.fragment_bytes(view.view_id)
+    if recorded != sum(map(len, actual)):
+        raise ContractViolation(
+            f"{context}: view {view.view_id!r} records {recorded} stored "
+            f"bytes but its payloads hold {sum(map(len, actual))}"
+        )
+    for fragment in stored:
+        built = fragment.built_root
+        if built is None:
+            continue
+        problem = _tree_drift(built, fragment.payload, system.document.schema)
+        if problem is not None:
+            raise ContractViolation(
+                f"{context}: view {view.view_id!r} fragment at "
+                f"{fragment.code} holds a tree that is not its payload's "
+                f"decode: {problem}"
+            )
+
+
+def _tree_drift(
+    built: "XMLNode", payload: bytes, schema: "DocumentSchema"
+) -> str | None:
+    """How ``built`` differs from the decode of ``payload`` (re-stamped
+    with its codes unless ``built`` is an unstamped decode), or None."""
+    from ..storage.serialize import decode_dewey, decode_fragment
+    from .rewrite import reencode_fragment
+
+    code, offset = decode_dewey(payload, 0)
+    decoded, _ = decode_fragment(payload, offset)
+    if built.dewey is not None:
+        reencode_fragment(decoded, code, schema)
+    if built.parent is not None:
+        return "its root has a parent"
+    stack = [(built, decoded)]
+    while stack:
+        node, twin = stack.pop()
+        if (node.label, node.text, node.attributes) != (
+            twin.label, twin.text, twin.attributes
+        ):
+            return f"node {twin.dewey or twin.label!r} label, text or attributes"
+        if (node.dewey, node.dewey_packed) != (twin.dewey, twin.dewey_packed):
+            return f"node {twin.dewey or twin.label!r} has code {node.dewey}"
+        if len(node.children) != len(twin.children):
+            return f"node {twin.dewey or twin.label!r} child count"
+        stack.extend(zip(node.children, twin.children))
+    return None

@@ -58,6 +58,7 @@ from ..core.view import View
 from ..errors import EncodingError, SchemaError
 from ..matching.evaluate import evaluate
 from ..obs import current_trace
+from ..storage.fragments import Fragment
 from ..xmltree.builder import EncodedDocument, encode_tree
 from ..xmltree.dewey import (
     DeweyCode,
@@ -234,9 +235,11 @@ class DocumentEditor:
             delta.bind_codes(subtree.dewey, subtree.dewey_packed)
             self._patch_base_state(delta)
         except BaseException:
-            # The tree already holds the new subtree; cached plans and
-            # base-data indexes must not outlive a failed encode.
+            # The tree already holds the new subtree; cached plans,
+            # base-data indexes and the affected views' fragments must
+            # not outlive a failed encode.
             self._invalidate_document()
+            self._evict_views(sorted(impacts.affected_ids()))
             raise
         return self._apply_impacts(delta, impacts)
 
@@ -281,6 +284,7 @@ class DocumentEditor:
             self._patch_base_state(delta)
         except BaseException:
             self._invalidate_document()
+            self._evict_views(sorted(impacts.affected_ids()))
             raise
         return self._apply_impacts(delta, impacts)
 
@@ -313,10 +317,23 @@ class DocumentEditor:
         (:func:`~repro.delta.patcher.patch_plan`), the rest dropped.
         """
         system = self.system
+        upkeep_failures: list[BaseException] = []
         upkeep = system._invalidate_plans(
             impacts.affected_ids(),
-            partial(_maintain_plan, impacts, delta, system.document.tree),
+            partial(
+                _maintain_plan,
+                impacts,
+                delta,
+                system.document.tree,
+                upkeep_failures,
+            ),
         )
+        if upkeep_failures:
+            # Every flagged plan past the failure was dropped; the
+            # views' fragments still hold the pre-edit document, so
+            # they leave the answerable pool with every other plan.
+            self._evict_views(sorted(impacts.affected_ids()))
+            raise upkeep_failures[0]
         report = MaintenanceReport(delta.operation, delta.changed_nodes)
         report.plans_dropped = upkeep.dropped
         report.plans_retained = upkeep.retained
@@ -330,9 +347,10 @@ class DocumentEditor:
         # embed fragment statistics — evict for every affected view,
         # content-only included, in one pass over the memo.
         system._memo.evict_views(impacts.affected_ids())
-        # Payloads encoded during this edit, by packed code: a fragment
-        # several views store is re-encoded once.
-        encoded: dict[PackedCode, bytes] = {}
+        # Fragments encoded from the live tree during this edit, by
+        # packed code: one object, encoded and copied once, for every
+        # view storing the code.
+        encoded: dict[PackedCode, Fragment] = {}
         for impact in impacts.impacts:
             view_id = impact.view.view_id
             report.affected_views.append(view_id)
@@ -524,12 +542,20 @@ def _maintain_plan(
     impacts: AffectedViews,
     delta: SubtreeDelta,
     tree: XMLTree,
+    failures: list[BaseException],
     key: tuple[str, str],
     entry: PlanEntry,
 ) -> PlanEntry | None:
     """Upkeep of one flagged plan: patched as the resolver classified
-    it, or dropped (None) when it kept no verdict for this entry."""
+    it, or dropped (None) when it kept no verdict for this entry.  An
+    error is recorded in ``failures`` instead of raised, and drops this
+    plan and every later one, so the caller can evict the affected
+    views before re-raising it outside the plan cache's upkeep."""
     impact = impacts.plans.get(key)
-    if impact is None or impact.entry is not entry:
+    if failures or impact is None or impact.entry is not entry:
         return None
-    return patch_plan(impact, delta, tree)
+    try:
+        return patch_plan(impact, delta, tree)
+    except BaseException as error:
+        failures.append(error)
+        return None

@@ -9,18 +9,27 @@ all keyed on packed Dewey byte order (which *is* document order):
   deleted subtree's ``[low, high)``;
 * **content re-encode** — fragments rooted at an ancestor-or-self of
   the edit anchor serialize bytes from inside the edited region, so
-  their payloads are re-encoded from the live tree (their answer-set
-  membership is unchanged — the resolver proved it);
+  they are re-encoded from the live tree (their answer-set membership
+  is unchanged — the resolver proved it);
 * **splice insert** — the caller evaluates the view under the scope the
   resolver chose (:mod:`repro.delta.resolver`); the answers that land
   inside the scope's packed range are encoded and merged.
 
+A fragment encoded from the live tree is built by one walk
+(:func:`~repro.storage.serialize.encode_fragment_copy`) that writes
+its payload and a parentless copy of the subtree carrying every node's
+codes, once per packed code per edit: every view storing that code
+holds the same :class:`Fragment`, so its tree and label index are
+built at most once and no later read decodes or re-stamps it.
 Everything else reuses the stored fragment, payload bytes and decoded
-subtree included.  The merged fragment list is sorted by packed code
-before storing, which reproduces exactly the code-ordered layout
-:meth:`FragmentStore.materialize` produces — the ``XMVR_CHECK=1``
-contract asserts byte-identity against a fresh re-materialization after
-every patch.
+subtree included.  The splice works by bisection on the view's
+code-ordered list: one cut for the replaced range and one probe per
+depth of the anchor for the ancestor fragments, so an edit does not
+visit every stored fragment.  The result is exactly the code-ordered
+layout :meth:`FragmentStore.materialize` produces — the
+``XMVR_CHECK=1`` contract asserts byte-identity against a fresh
+re-materialization after every patch, and that every built tree
+equals a decode of its payload.
 
 Cap accounting matches ``materialize``: if the patched payloads exceed
 ``cap_bytes`` the view is marked capped and the caller evicts it from
@@ -44,14 +53,14 @@ from ..core.rewrite import RewriteResult
 from ..errors import EncodingError
 from ..matching.evaluate import evaluate
 from ..storage.fragments import Fragment, FragmentStore
-from ..storage.serialize import encode_dewey, encode_fragment
+from ..storage.serialize import copy_subtree, encode_dewey, encode_fragment_copy
 from ..xmltree.builder import EncodedDocument
 from ..xmltree.dewey import (
     DeweyCode,
     PackedCode,
     descendant_range_key,
     packed_descendant_range,
-    packed_is_prefix,
+    packed_prefixes,
 )
 from ..xmltree.tree import XMLNode, XMLTree
 from ..core.view import View
@@ -62,6 +71,7 @@ __all__ = ["FragmentPatcher", "patch_plan"]
 
 _PACKED = attrgetter("packed")
 _NODE_PACKED = attrgetter("dewey_packed")
+_STORED_BYTES = attrgetter("stored_bytes")
 
 
 class FragmentPatcher:
@@ -75,7 +85,7 @@ class FragmentPatcher:
         self,
         view: View,
         delta: SubtreeDelta,
-        encoded: dict[PackedCode, bytes],
+        encoded: dict[PackedCode, Fragment],
         scope: XMLNode | None,
         answers: Iterable[XMLNode],
     ) -> bool:
@@ -84,10 +94,12 @@ class FragmentPatcher:
         With ``scope``, every stored fragment in the scope's packed
         range is replaced by the ``answers`` (the view evaluated under
         the scope) in that range.  ``encoded`` maps packed codes to
-        payloads already encoded for this edit; it is shared by every
-        view the edit patches, so each live subtree is encoded once.
-        Returns the same cap verdict as ``materialize``: False means
-        the view no longer fits and must leave the answerable pool.
+        the fragments already encoded from the live tree for this
+        edit; it is shared by every view the edit patches, so each
+        live subtree is encoded (and copied) once and every view
+        storing its code holds the same :class:`Fragment`.  Returns
+        the same cap verdict as ``materialize``: False means the view
+        no longer fits and must leave the answerable pool.
         """
         if scope is not None:
             assert scope.dewey_packed is not None
@@ -96,42 +108,62 @@ class FragmentPatcher:
             low, high = delta.packed_range()
         else:
             low = high = b""
-        merged: list[Fragment] = []
-        for fragment in self.fragments.fragments(view.view_id):
-            packed = fragment.packed
-            if low <= packed < high:
+        stored = self.fragments.fragments(view.view_id)
+        start = bisect_left(stored, low, key=_PACKED)
+        stop = bisect_left(stored, high, start, key=_PACKED)
+        fresh = sorted(
+            (
+                node
+                for node in answers
+                if node.dewey is not None
+                and node.dewey_packed is not None
+                and low <= node.dewey_packed < high
+            ),
+            key=_NODE_PACKED,
+        )
+        spliced = [self._fragment(node, encoded) for node in fresh]
+        merged = stored[:start] + spliced + stored[stop:]
+        # The stored total, tracked through the splice.
+        total = (
+            self.fragments.fragment_bytes(view.view_id)
+            + sum(map(_STORED_BYTES, spliced))
+            - sum(map(_STORED_BYTES, stored[start:stop]))
+        )
+        # Fragments rooted at an ancestor-or-self of the anchor outside
+        # the replaced range hold the edited content: one bisect per
+        # depth finds them, as the resolver's containment test does.
+        index = 0
+        for prefix in packed_prefixes(delta.anchor_packed):
+            index = bisect_left(merged, prefix, index, key=_PACKED)
+            if index == len(merged):
+                break
+            old = merged[index]
+            if old.packed != prefix or low <= prefix < high:
                 continue
-            if packed_is_prefix(packed, delta.anchor_packed):
-                payload = encoded.get(packed)
-                if payload is None:
-                    live = self.document.node_by_code(fragment.code)
-                    if live is None:
-                        raise EncodingError(
-                            f"fragment root {fragment.code} vanished during patch"
-                        )
-                    payload = self._encode(live, encoded)
-                merged.append(Fragment(fragment.code, payload))
-            else:
-                merged.append(fragment)
-        for node in answers:
-            packed_node = node.dewey_packed
-            if node.dewey is not None and packed_node is not None and (
-                low <= packed_node < high
-            ):
-                merged.append(Fragment(node.dewey, self._encode(node, encoded)))
-        merged.sort(key=_PACKED)
-        return self.fragments.replace(view.view_id, merged)
+            live = self.document.node_by_code(old.code)
+            if live is None:
+                raise EncodingError(
+                    f"fragment root {old.code} vanished during patch"
+                )
+            merged[index] = self._fragment(live, encoded)
+            total += merged[index].stored_bytes - old.stored_bytes
+        return self.fragments.replace(view.view_id, merged, total)
 
-    def _encode(self, node: XMLNode, encoded: dict[PackedCode, bytes]) -> bytes:
+    def _fragment(
+        self, node: XMLNode, encoded: dict[PackedCode, Fragment]
+    ) -> Fragment:
+        """The fragment rooted at live ``node``, encoded once per edit:
+        its payload and its code-stamped copy come from one walk."""
         packed = node.dewey_packed
         assert node.dewey is not None and packed is not None
-        payload = encoded.get(packed)
-        if payload is None:
-            payload = encode_dewey(node.dewey) + encode_fragment(
-                node, self.document.schema
+        fragment = encoded.get(packed)
+        if fragment is None:
+            body, root = encode_fragment_copy(node, self.document.schema)
+            fragment = Fragment(
+                node.dewey, encode_dewey(node.dewey) + body, root, packed
             )
-            encoded[packed] = payload
-        return payload
+            encoded[packed] = fragment
+        return fragment
 
 
 def patch_plan(
@@ -173,7 +205,7 @@ def patch_plan(
     for node in fresh:
         assert node.dewey is not None
         added.append(node.dewey)
-        answers[node.dewey] = _detached_copy(node)
+        answers[node.dewey] = copy_subtree(node)
     return PlanEntry(
         entry.pattern,
         entry.filter_result,
@@ -186,22 +218,3 @@ def patch_plan(
             joined_roots=result.joined_roots,
         ),
     )
-
-
-def _detached_copy(node: XMLNode) -> XMLNode:
-    """A parentless copy of ``node``'s subtree, codes included."""
-    root = _copy_one(node)
-    stack = [(node, root)]
-    while stack:
-        source, target = stack.pop()
-        for child in source.children:
-            twin = target.add_child(_copy_one(child))
-            stack.append((child, twin))
-    return root
-
-
-def _copy_one(node: XMLNode) -> XMLNode:
-    copy = XMLNode(node.label, text=node.text, attributes=dict(node.attributes))
-    copy.dewey = node.dewey
-    copy.dewey_packed = node.dewey_packed
-    return copy

@@ -14,8 +14,10 @@ sorted (document order), which the holistic join relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain, compress
+from itertools import count as naturals
+from operator import is_not
+from typing import Iterable, Iterator
 
 from ..errors import StorageError
 from ..matching.evaluate import SubtreeIndex
@@ -38,21 +40,37 @@ __all__ = ["Fragment", "FragmentStore", "DEFAULT_FRAGMENT_CAP"]
 DEFAULT_FRAGMENT_CAP = 128 * 1024
 
 
-@dataclass(slots=True)
 class Fragment:
-    """One materialized fragment: root code + lazily decoded subtree.
+    """One materialized fragment: root code, stored bytes and subtree.
 
-    The packed root code, its per-depth packed prefixes and a label
-    index of the decoded subtree are computed once per Fragment object
-    and amortized across queries by the store's warm cache.
+    ``packed``, the order-preserving bytes of the root code, is filled
+    at construction: it is the key of every bisect and sort over a
+    view's fragments.  The subtree is decoded from the payload on
+    first use, or handed over at construction when delta maintenance
+    has just encoded the payload from the live tree
+    (:func:`~repro.storage.serialize.encode_fragment_copy`): that copy
+    already carries every node's code, so no read decodes or re-stamps
+    it.  Such a fragment is one object shared by every view storing
+    its code.  The per-depth packed prefixes and the label index of
+    the subtree are computed once per object and amortized across
+    queries by the store's warm cache.
     """
 
-    code: DeweyCode
-    _payload: bytes
-    _root: XMLNode | None = None
-    _packed: PackedCode | None = None
-    _prefixes: tuple[PackedCode, ...] | None = None
-    _subtree: SubtreeIndex | None = None
+    __slots__ = ("code", "packed", "_payload", "_root", "_prefixes", "_subtree")
+
+    def __init__(
+        self,
+        code: DeweyCode,
+        payload: bytes,
+        root: XMLNode | None = None,
+        packed: PackedCode | None = None,
+    ) -> None:
+        self.code = code
+        self.packed: PackedCode = pack_code(code) if packed is None else packed
+        self._payload = payload
+        self._root = root
+        self._prefixes: tuple[PackedCode, ...] | None = None
+        self._subtree: SubtreeIndex | None = None
 
     @property
     def root(self) -> XMLNode:
@@ -64,11 +82,10 @@ class Fragment:
         return self._root
 
     @property
-    def packed(self) -> PackedCode:
-        """Packed (order-preserving bytes) form of the root code."""
-        if self._packed is None:
-            self._packed = pack_code(self.code)
-        return self._packed
+    def built_root(self) -> XMLNode | None:
+        """The subtree if it is already built (decoded or handed
+        over), else None; never decodes."""
+        return self._root
 
     @property
     def prefixes(self) -> tuple[PackedCode, ...]:
@@ -115,8 +132,11 @@ class FragmentStore:
         # Warm-read cache of Fragment objects (≤ cap_bytes per view, so
         # memory stays bounded) — the analogue of Berkeley DB XML's page
         # cache in the paper's setup.  Callers must not mutate the
-        # returned subtrees' structure.
-        #: state: soft(derived-from=_manifests; rebuild=fragments)
+        # returned subtrees' structure.  A fragment delta maintenance
+        # re-encoded holds a copy of the document's subtree (equal to
+        # a decode of its payload, and shared by every view storing
+        # its code); :meth:`replace` refreshes it on each edit.
+        #: state: soft(derived-from=_manifests, document?; rebuild=fragments)
         self._cache: dict[str, list[Fragment]] = {}
         self._load_manifests()
 
@@ -198,28 +218,38 @@ class FragmentStore:
         self._cache.pop(view_id, None)
         self._write_manifest(view_id)
 
-    def replace(self, view_id: str, fragments: list[Fragment]) -> bool:
+    def replace(
+        self, view_id: str, fragments: list[Fragment], total: int
+    ) -> bool:
         """Swap a view's stored fragments for patched ones.
 
         The delta-maintenance counterpart of :meth:`materialize` for an
         *already materialized* view: ``fragments`` must be in packed-code
         order, with payloads (each ``encode_dewey(code) +
         encode_fragment(root, schema)``) exactly the bytes a fresh
-        materialization would store.  The list becomes the warm cache,
-        so fragments a patch kept stay decoded.  Cap accounting matches
-        :meth:`materialize` — False marks the view capped and discards
-        everything.
+        materialization would store, and ``total`` their summed
+        :attr:`Fragment.stored_bytes` (a patch tracks it through its
+        splice rather than summing every fragment).  The list becomes
+        the warm cache, so fragments a patch kept stay decoded, and
+        those it encoded from the live tree arrive with their trees.
+        Cap accounting matches :meth:`materialize` — False marks the
+        view capped and discards everything.
         """
-        total = sum(fragment.stored_bytes for fragment in fragments)
         if total > self.cap_bytes:
             self.drop(view_id)
             return self._mark_capped(view_id)
         stored = self._cache.get(view_id)
         count = self._manifests[view_id][0]
-        for seq, fragment in enumerate(fragments):
-            # A kept fragment at its old position needs no write.
-            if stored is None or seq >= count or stored[seq] is not fragment:
-                self.store.put(self._fragment_key(view_id, seq), fragment.payload)
+        changed: Iterable[int] = range(len(fragments))
+        if stored is not None:
+            # A kept fragment at its old position needs no write; the
+            # identity test runs in C across the whole list.
+            changed = chain(
+                compress(naturals(), map(is_not, stored, fragments)),
+                range(len(stored), len(fragments)),
+            )
+        for seq in changed:
+            self.store.put(self._fragment_key(view_id, seq), fragments[seq].payload)
         for seq in range(len(fragments), count):
             self.store.delete(self._fragment_key(view_id, seq))
         self._manifests[view_id] = (len(fragments), total, False)

@@ -10,11 +10,20 @@ embedded store:
 * XML subtrees (preorder stream with child counts and, where a delete
   left a gap, explicit extended Dewey components).
 
+One subtree walk writes the subtree format.  :func:`encode_fragment`
+takes its bytes alone; :func:`encode_fragment_copy` takes, from one
+walk of a live subtree, its bytes and a code-stamped, parentless copy,
+so delta maintenance can hand a re-encoded fragment its decoded tree
+and no read decodes the bytes the edit just wrote.
+
 All decoders take ``(buffer, offset)`` and return ``(value,
 new_offset)`` so records can be composed without intermediate copies.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from typing import Iterable
 
 from ..errors import StorageError
 from ..xmltree.dewey import DeweyCode
@@ -29,6 +38,8 @@ __all__ = [
     "encode_dewey",
     "decode_dewey",
     "encode_fragment",
+    "encode_fragment_copy",
+    "copy_subtree",
     "decode_fragment",
 ]
 
@@ -113,36 +124,120 @@ def encode_fragment(root: XMLNode, schema: DocumentSchema | None = None) -> byte
     so their payloads carry no component at all.
     """
     parts: list[bytes] = []
-    stack: list[tuple[XMLNode, bool]] = [(root, False)]
-    while stack:
-        node, explicit = stack.pop()
-        parts.append(encode_text(node.label))
-        parts.append(encode_varint((node.text is not None) | explicit << 1))
-        if node.text is not None:
-            parts.append(encode_text(node.text))
-        if explicit:
-            assert node.dewey is not None
-            parts.append(encode_varint(node.dewey[-1]))
-        parts.append(encode_varint(len(node.attributes)))
-        for name, value in node.attributes.items():
-            parts.append(encode_text(name))
-            parts.append(encode_text(value))
-        children = node.children
-        parts.append(encode_varint(len(children)))
-        if schema is None or node.dewey is None or not children:
-            stack.extend((child, False) for child in reversed(children))
-            continue
-        # The smallest admissible component lies in [floor, floor + k)
-        # for fanout k, so anything at or past floor + k left a gap.
-        fanout = schema.fanout(node.label)
-        floor = 0
-        marked: list[tuple[XMLNode, bool]] = []
-        for child in children:
-            component = child.dewey[-1] if child.dewey else floor
-            marked.append((child, component - floor >= fanout))
-            floor = component + 1
-        stack.extend(reversed(marked))
+    _walk(root, schema, parts, None)
     return b"".join(parts)
+
+
+def encode_fragment_copy(
+    root: XMLNode, schema: DocumentSchema | None = None
+) -> tuple[bytes, XMLNode]:
+    """:func:`encode_fragment` of a live subtree together with, from
+    the same walk, a parentless copy of it whose every node carries
+    the live ``dewey`` and ``dewey_packed``: the tree
+    :func:`decode_fragment` + :func:`~repro.core.rewrite.reencode_fragment`
+    would rebuild from the bytes, without decoding them.  The copy
+    shares no node or attribute dict with ``root``, so later edits of
+    the live tree leave it as it is."""
+    parts: list[bytes] = []
+    copy = _copy_node(root, None)
+    _walk(root, schema, parts, copy)
+    return b"".join(parts), copy
+
+
+def copy_subtree(root: XMLNode) -> XMLNode:
+    """The copy half of :func:`encode_fragment_copy`, without the
+    bytes."""
+    copy = _copy_node(root, None)
+    _walk(root, None, None, copy)
+    return copy
+
+
+_NO_TWINS = repeat(None)
+_NO_GAPS = repeat(False)
+
+
+def _walk(
+    root: XMLNode,
+    schema: DocumentSchema | None,
+    parts: list[bytes] | None,
+    copy: XMLNode | None,
+) -> None:
+    """One preorder walk of ``root``'s subtree: appends each node's
+    record to ``parts`` (when given) — the one writer of the subtree
+    format — and grows ``copy`` (when given) into its twin."""
+    # Labels repeat across a subtree, and most records are plain (no
+    # text, no component, no attributes): their head (label, flags and
+    # attribute count) is encoded once per label per walk.
+    plain: dict[str, bytes] = {}
+    stack: list[tuple[XMLNode, XMLNode | None, bool]] = [(root, copy, False)]
+    while stack:
+        node, twin, explicit = stack.pop()
+        children = node.children
+        if parts is not None:
+            label = node.label
+            text = node.text
+            attributes = node.attributes
+            if text is None and not explicit and not attributes:
+                head = plain.get(label)
+                if head is None:
+                    head = plain[label] = encode_text(label) + b"\x00\x00"
+                parts.append(head)
+            else:
+                parts.append(encode_text(label))
+                parts.append(_ONE_BYTE[(text is not None) | explicit << 1])
+                if text is not None:
+                    parts.append(encode_text(text))
+                if explicit:
+                    assert node.dewey is not None
+                    parts.append(encode_varint(node.dewey[-1]))
+                parts.append(encode_varint(len(attributes)))
+                for name, value in attributes.items():
+                    parts.append(encode_text(name))
+                    parts.append(encode_text(value))
+            count = len(children)
+            parts.append(_ONE_BYTE[count] if count < 0x80 else encode_varint(count))
+        if not children:
+            continue
+        gaps: Iterable[bool] = _NO_GAPS
+        if schema is not None and node.dewey is not None:
+            gaps = _gaps(children, schema.fanout(node.label))
+        twins: Iterable[XMLNode | None] = _NO_TWINS
+        if twin is not None:
+            twins = twin.children = [_copy_node(child, twin) for child in children]
+        stack.extend(reversed(list(zip(children, twins, gaps))))
+
+
+def _gaps(children: list[XMLNode], fanout: int) -> list[bool]:
+    """Per child: whether its record stores its component explicitly
+    (see :func:`encode_fragment`).  The smallest admissible component
+    lies in ``[floor, floor + fanout)``, so anything at or past
+    ``floor + fanout`` left a gap."""
+    floor = 0
+    gaps: list[bool] = []
+    for child in children:
+        component = child.dewey[-1] if child.dewey else floor
+        gaps.append(component - floor >= fanout)
+        floor = component + 1
+    return gaps
+
+
+_NEW_NODE = XMLNode.__new__
+
+
+def _copy_node(node: XMLNode, parent: XMLNode | None) -> XMLNode:
+    """A childless twin of ``node`` under ``parent``.  Every slot of
+    :class:`XMLNode` is set here, without the constructor's checks
+    (the label was checked when ``node`` was built): a copy is made
+    per node of each subtree an edit re-encodes."""
+    copy = _NEW_NODE(XMLNode)
+    copy.label = node.label
+    copy.text = node.text
+    copy.attributes = dict(node.attributes)
+    copy.parent = parent
+    copy.children = []
+    copy.dewey = node.dewey
+    copy.dewey_packed = node.dewey_packed
+    return copy
 
 
 def decode_fragment(buffer: bytes, offset: int = 0) -> tuple[XMLNode, int]:

@@ -77,6 +77,17 @@ def random_tree(rng: random.Random, max_nodes: int = 40, max_depth: int = 6) -> 
     return XMLTree(root)
 
 
+def coded_nodes(root: XMLNode) -> list[tuple]:
+    """Preorder ``(label, text, attributes, dewey, dewey_packed, child
+    count)`` of every node under ``root``: equal lists mean equal trees,
+    codes included."""
+    return [
+        (node.label, node.text, node.attributes, node.dewey,
+         node.dewey_packed, len(node.children))
+        for node in root.iter_subtree()
+    ]
+
+
 def random_pattern(
     rng: random.Random, max_nodes: int = 5, wildcards: bool = True
 ) -> TreePattern:

@@ -1,6 +1,6 @@
 """Runtime contract layer (repro.core.contracts).
 
-Three angles:
+Four angles:
 
 * unit tests of the individual checks against hand-built good/bad
   state;
@@ -11,6 +11,9 @@ Three angles:
 * a mutation test: a system whose ``_invalidate_plans`` is a no-op
   (the exact bug lint rules L15 and L7 guard against) serves a stale
   cached plan, and the sampled plan-consistency contract catches it.
+* fragment drift: a fragment tree held in memory that is not its
+  payload's decode (an attribute, a code or the child order lost)
+  fails the patched-fragments contract.
 """
 
 from __future__ import annotations
@@ -209,6 +212,43 @@ def test_stale_answer_content_caught_by_plan_consistency(monkeypatch):
     DocumentEditor(system).insert_subtree(section.dewey, XMLNode("t"))
     with pytest.raises(ContractViolation, match="holds content"):
         system.answer("//b/s", "HV")
+
+
+def _drop_attributes(root):
+    root.children[0].attributes.clear()
+
+
+def _drop_a_code(root):
+    root.children[-1].dewey = None
+
+
+def _swap_children(root):
+    root.children.reverse()
+
+
+def _attach_root(root):
+    root.parent = XMLNode("b")
+
+
+@pytest.mark.parametrize(
+    "drift", [_drop_attributes, _drop_a_code, _swap_children, _attach_root]
+)
+def test_drifted_fragment_tree_caught_by_patched_fragments(drift):
+    # The patcher hands each re-encoded fragment a copy of the live
+    # subtree; a copy that is not its payload's decode must fire.
+    doc = encode_tree(build_tree(("b", ["t", ("s", ["t", "p"])])))
+    section = doc.tree.root.children[1]
+    section.children[0].attributes["id"] = "t1"
+    system = MaterializedViewSystem(doc)
+    system.register_view("vs", "//b/s")
+    DocumentEditor(system).insert_subtree(section.dewey, XMLNode("t"))
+    (view,) = system.materialized_views()
+    (fragment,) = system.fragments.fragments("vs")
+    assert fragment.built_root is not None
+    contracts.check_patched_fragments(system, view, "healthy")
+    drift(fragment.built_root)
+    with pytest.raises(ContractViolation, match="not its payload's decode"):
+        contracts.check_patched_fragments(system, view, "drifted")
 
 
 def test_registration_is_structurally_invalidating():

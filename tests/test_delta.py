@@ -10,6 +10,11 @@ Covers the pieces the coarse maintenance tests don't:
 * patcher byte-identity — patched fragment payloads equal a fresh
   re-materialization byte for byte, and the report proves the scoped
   *patch* path (not a hidden rebuild) produced them;
+* re-encoded fragments — an edit encodes each live subtree once into
+  one shared, code-stamped :class:`Fragment`, detached from the live
+  tree, that reads use without decoding or re-stamping it;
+* failed edits — an error after the tree changed evicts the affected
+  views, whose fragments still hold the pre-edit document;
 * plan-cache upkeep — one counted invalidation per edit (the old
   double-``_invalidate_plans`` edit path is gone), plans over untouched
   views stay warm, plans over affected views are kept, spliced or
@@ -29,6 +34,7 @@ Covers the pieces the coarse maintenance tests don't:
 
 from __future__ import annotations
 
+import importlib
 import random
 import threading
 
@@ -49,13 +55,25 @@ from repro.workload.querygen import (
     generate_positive,
 )
 from repro.workload.xmark import generate_xmark_document
-from repro.storage.serialize import encode_dewey, encode_fragment
+from repro.core import contained as contained_module
+from repro.core import reencode_fragment
+from repro.storage import fragments as fragments_module
+from repro.storage.serialize import (
+    decode_dewey,
+    decode_fragment,
+    encode_dewey,
+    encode_fragment,
+)
 from repro.xmltree import XMLNode, build_tree
 from repro.xmltree.serializer import serialize_node
 from repro.xpath.ast import Axis
 from repro.xpath.pattern import PatternNode, TreePattern
 
-from conftest import random_pattern, random_tree
+from conftest import coded_nodes, random_pattern, random_tree
+
+# ``repro.core.rewrite`` the attribute is the function; the module's
+# ``reencode_fragment`` binding is patched through the module object.
+rewrite_module = importlib.import_module("repro.core.rewrite")
 
 
 def _system(views: dict[str, str]) -> MaterializedViewSystem:
@@ -308,6 +326,95 @@ class TestPatcher:
 
 
 # ----------------------------------------------------------------------
+# re-encoded fragments arrive decoded, one object for every view
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _assert_fragment_trees_match_payloads(system: MaterializedViewSystem) -> None:
+    """Every fragment tree already built in memory is a decode of its
+    payload (re-stamped with its codes unless it is an unstamped
+    decode)."""
+    schema = system.document.schema
+    for view in system.materialized_views():
+        for fragment in system.fragments.fragments(view.view_id):
+            built = fragment.built_root
+            if built is None:
+                continue
+            code, offset = decode_dewey(fragment.payload, 0)
+            decoded, _ = decode_fragment(fragment.payload, offset)
+            if built.dewey is not None:
+                reencode_fragment(decoded, code, schema)
+            assert built.parent is None
+            assert coded_nodes(built) == coded_nodes(decoded), (
+                view.view_id, code,
+            )
+
+
+class TestReencodedFragments:
+    def _edited(self):
+        # Two views store the same s fragments; a t inserted into the
+        # first section re-encodes its fragment for both.
+        system = _system({"VS": "//b/s", "WS": "/b/s"})
+        system.answer("//b/s")
+        editor = DocumentEditor(system)
+        section = _first_section(system)
+        report = editor.insert_subtree(section.dewey, XMLNode("t"))
+        assert _view_modes(report) == {"VS": "patched", "WS": "patched"}
+        return system, editor, section
+
+    def test_views_storing_a_code_share_one_decoded_fragment(self):
+        system, _editor, section = self._edited()
+        (first_vs, *_rest) = system.fragments.fragments("VS")
+        (first_ws, *_rest) = system.fragments.fragments("WS")
+        assert first_vs.code == section.dewey
+        assert first_vs is first_ws
+        assert first_vs.built_root is not None
+        assert first_vs.packed == section.dewey_packed
+
+    def test_rederiving_over_a_reencoded_fragment_decodes_nothing(
+        self, monkeypatch
+    ):
+        system, _editor, section = self._edited()
+        decodes = _count_calls(monkeypatch, fragments_module, "decode_fragment")
+        restamps = [
+            _count_calls(monkeypatch, rewrite_module, "reencode_fragment"),
+            _count_calls(monkeypatch, contained_module, "reencode_fragment"),
+        ]
+        # The edit changed the content of an answer: the plan was
+        # dropped, so this read re-derives it over the fragments.
+        outcome = system.answer("//b/s")
+        assert not outcome.plan_cache_hit
+        assert outcome.codes == system.direct_codes("//b/s")
+        assert len(outcome.rewrite_result.answers[section.dewey].children) == 3
+        assert decodes[0] == 0
+        assert [calls[0] for calls in restamps] == [0, 0]
+
+    def test_handed_over_copy_is_detached_from_the_live_tree(self):
+        system, editor, section = self._edited()
+        fragment = system.fragments.fragments("VS")[0]
+        copy = fragment.root
+        live = {id(node) for node in system.document.tree.iter_nodes()}
+        assert not any(id(node) in live for node in copy.iter_subtree())
+        before = (serialize_node(copy), coded_nodes(copy))
+        # A later edit inside the live subtree re-encodes the fragment
+        # again; the copy the first edit made stays as it was.
+        editor.insert_subtree(section.dewey, XMLNode("p"))
+        assert system.fragments.fragments("VS")[0] is not fragment
+        assert (serialize_node(copy), coded_nodes(copy)) == before
+        assert len(copy.children) == len(section.children) - 1
+
+
+# ----------------------------------------------------------------------
 # scoped plan-cache invalidation (the double-invalidation regression)
 # ----------------------------------------------------------------------
 class TestScopedInvalidation:
@@ -443,6 +550,57 @@ class TestScopedInvalidation:
         outcome = system.answer("//b/t")
         assert not outcome.plan_cache_hit
         assert outcome.codes == system.direct_codes("//b/t")
+
+
+# ----------------------------------------------------------------------
+# an edit that fails after the tree changed evicts the affected views
+# ----------------------------------------------------------------------
+class TestFailedEdits:
+    def _assert_affected_view_evicted(self, system):
+        # VP held pre-edit fragments: it must have left the pool, and
+        # //s/p must not be answered from them.
+        pool = [view.view_id for view in system.materialized_views()]
+        assert pool == ["VT"]
+        assert system.try_answer("//s/p") is None
+        assert system.answer("//b/t").codes == system.direct_codes("//b/t")
+
+    def test_failed_plan_upkeep_evicts_the_affected_views(self, monkeypatch):
+        system = _system({"VT": "//b/t", "VP": "//s/p"})
+        editor = DocumentEditor(system)
+        system.answer("//s/p")
+
+        def broken(impact, delta, tree):
+            raise RuntimeError("upkeep failed")
+
+        monkeypatch.setattr(maintenance, "patch_plan", broken)
+        with pytest.raises(RuntimeError, match="upkeep failed"):
+            editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
+        assert len(system.direct_codes("//s/p")) == 3
+        self._assert_affected_view_evicted(system)
+
+    @pytest.mark.parametrize("operation", ["insert", "delete"])
+    def test_failed_base_patch_evicts_the_affected_views(
+        self, monkeypatch, operation
+    ):
+        system = _system({"VT": "//b/t", "VP": "//s/p"})
+        editor = DocumentEditor(system)
+        system.answer("//s/p")
+
+        def broken(self, delta):
+            raise RuntimeError("base patch failed")
+
+        monkeypatch.setattr(DocumentEditor, "_patch_base_state", broken)
+        with pytest.raises(RuntimeError, match="base patch failed"):
+            if operation == "insert":
+                editor.insert_subtree(
+                    _first_section(system).dewey, XMLNode("p")
+                )
+            else:
+                editor.delete_subtree(system.direct_codes("//s/p")[0])
+        assert len(system.direct_codes("//s/p")) == (
+            3 if operation == "insert" else 1
+        )
+        self._assert_affected_view_evicted(system)
 
 
 # ----------------------------------------------------------------------
@@ -801,6 +959,7 @@ def test_random_edit_sequences_keep_views_byte_identical(seed):
             assert _stored_payloads(
                 system, view.view_id
             ) == _expected_payloads(system, view), view.to_xpath()
+        _assert_fragment_trees_match_payloads(system)
         _assert_cached_plans_fresh(system)
         query = random_pattern(rng, max_nodes=4)
         outcome = system.try_answer(query)

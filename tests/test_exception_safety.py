@@ -107,10 +107,10 @@ class TestRefreshFailure:
         _warm(system)
         original = system.fragments.replace
 
-        def boom(view_id, fragments):
+        def boom(view_id, fragments, total):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, fragments)
+            return original(view_id, fragments, total)
 
         monkeypatch.setattr(system.fragments, "replace", boom)
         target = system.answer("//s[f//i]/p").codes[0]
@@ -130,10 +130,10 @@ class TestRefreshFailure:
         _warm(system)
         original = system.fragments.replace
 
-        def boom(view_id, fragments):
+        def boom(view_id, fragments, total):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, fragments)
+            return original(view_id, fragments, total)
 
         monkeypatch.setattr(system.fragments, "replace", boom)
         target = system.answer("//s[f//i]/p").codes[0]
@@ -155,7 +155,7 @@ class TestRefreshFailure:
         monkeypatch.setattr(
             system.fragments,
             "replace",
-            lambda view_id, fragments: False,  # every view outgrows the cap
+            lambda view_id, fragments, total: False,  # every view outgrows the cap
         )
         first_s = system.document.tree.root.children[1]
         report = editor.insert_subtree(first_s.dewey, XMLNode("p"))

@@ -4,7 +4,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageCorruptionError, StorageError
 from repro.storage import (
@@ -19,9 +19,11 @@ from repro.storage import (
     encode_text,
     encode_varint,
 )
-from repro.xmltree import XMLNode, build_tree
+from repro.core import reencode_fragment
+from repro.storage.serialize import encode_fragment_copy
+from repro.xmltree import XMLNode, build_tree, encode_tree
 
-from conftest import random_tree
+from conftest import coded_nodes, random_tree
 
 
 class TestVarint:
@@ -91,6 +93,57 @@ class TestFragmentSerialization:
         node = XMLNode("α", text="ünïcode ✓", attributes={"k": "v&<>'\""})
         again, _ = decode_fragment(encode_fragment(node))
         assert again.structurally_equal(node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_copy_walk_writes_encode_fragment_bytes_after_gapped_deletes(seed):
+    """The one-walk encode + copy writes the bytes ``encode_fragment``
+    writes, explicit components included, and its copy is the tree a
+    decode + re-stamp of those bytes gives, sharing nothing with the
+    live subtree."""
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_nodes=30, max_depth=4)
+    for node in tree.iter_nodes():
+        if rng.random() < 0.2:
+            node.text = rng.choice(["x", "ünï", ""])
+        if rng.random() < 0.2:
+            node.attributes["k"] = rng.choice(["1", "v&<"])
+    document = encode_tree(tree)
+    schema = document.schema
+    # Deletes keep the later siblings' codes, so those no longer carry
+    # the smallest component: their payload records store it.
+    for _ in range(rng.randint(1, 4)):
+        inner = [n for n in tree.iter_nodes() if n.parent is not None]
+        if len(inner) < 3:
+            break
+        rng.choice(inner).detach()
+    for node in tree.iter_nodes():
+        body, copy = encode_fragment_copy(node, schema)
+        assert body == encode_fragment(node, schema)
+        decoded, offset = decode_fragment(body)
+        assert offset == len(body)
+        reencode_fragment(decoded, node.dewey, schema)
+        assert coded_nodes(copy) == coded_nodes(decoded)
+        assert copy.parent is None
+        live = {id(n) for n in node.iter_subtree()}
+        live |= {id(n.attributes) for n in node.iter_subtree() if n.attributes}
+        for twin in copy.iter_subtree():
+            assert id(twin) not in live
+            assert id(twin.attributes) not in live
+
+
+def test_gapped_delete_payload_stores_an_explicit_component():
+    # The property above is only as strong as its trees: a delete of
+    # a first child must leave its later sibling's component explicit.
+    document = encode_tree(build_tree(("b", ["c", "c"])))
+    root = document.tree.root
+    root.children[0].detach()
+    body, copy = encode_fragment_copy(root, document.schema)
+    assert body == encode_fragment(root, document.schema)
+    decoded, _ = decode_fragment(body)
+    assert decoded.children[0].dewey == (1,)
+    assert copy.children[0].dewey == (0, 1)
 
 
 class TestKVStore:
