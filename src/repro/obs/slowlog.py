@@ -6,13 +6,16 @@ query, which views the rewrite chose, every stage timing, and (when
 the trace was sampled) the complete span tree.  Capacity is small and
 fixed, eviction is min-by-duration replacement, so under sustained
 load the log converges to the top-N slowest requests seen since start
-rather than merely the most recent ones.
+rather than merely the most recent ones.  A full log's fastest resident
+is its floor: a request no slower is declined before any record is
+built for it.
 
 Served at ``GET /debug/slow`` and via ``python -m repro slowlog``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -55,7 +58,13 @@ class SlowQueryRecord:
 
 
 class SlowQueryLog:
-    """Fixed-capacity top-N-by-duration record store (thread-safe)."""
+    """Fixed-capacity top-N-by-duration record store (thread-safe).
+
+    Once full, the log keeps its fastest resident duration as a
+    *floor*: :meth:`decline` turns away a request no slower than the
+    floor before its caller builds a record for it, so a hit that
+    cannot enter costs one comparison, not a record and a span tree.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
@@ -66,6 +75,21 @@ class SlowQueryLog:
         self._records: list[SlowQueryRecord] = []
         #: guarded-by: _lock
         self._recorded = 0
+        #: The fastest resident duration once the log is full, and
+        #: ``-inf`` (every offer enters) until then.
+        #: guarded-by: _lock
+        self._floor = -math.inf
+
+    def decline(self, total_seconds: float) -> bool:
+        """Whether a request of ``total_seconds`` cannot enter the log
+        now: the log is full and the request is no slower than its
+        fastest resident.  A declined request is counted as recorded;
+        one that is not declined is offered with :meth:`record`."""
+        with self._lock:
+            if total_seconds > self._floor:
+                return False
+            self._recorded += 1
+            return True
 
     def record(self, entry: SlowQueryRecord) -> bool:
         """Keep ``entry`` if the log has room or the entry is slower
@@ -73,16 +97,19 @@ class SlowQueryLog:
         """
         with self._lock:
             self._recorded += 1
-            if len(self._records) < self.capacity:
-                self._records.append(entry)
-                return True
-            fastest = min(
-                range(len(self._records)),
-                key=lambda index: self._records[index].total_seconds,
-            )
-            if entry.total_seconds <= self._records[fastest].total_seconds:
+            records = self._records
+            if len(records) < self.capacity:
+                records.append(entry)
+            elif entry.total_seconds <= self._floor:
                 return False
-            self._records[fastest] = entry
+            else:
+                fastest = min(
+                    range(len(records)),
+                    key=lambda index: records[index].total_seconds,
+                )
+                records[fastest] = entry
+            if len(records) == self.capacity:
+                self._floor = min(record.total_seconds for record in records)
             return True
 
     def entries(self, limit: int | None = None) -> list[SlowQueryRecord]:
@@ -103,3 +130,4 @@ class SlowQueryLog:
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
+            self._floor = -math.inf

@@ -495,6 +495,11 @@ class QueryScheduler:
         error: BaseException | None,
         elapsed: float,
     ) -> None:
+        """Offer the request to the slow log.  Most requests are
+        faster than every resident of a full log; the log declines
+        those before their record and span tree are built."""
+        if self._slowlog.decline(elapsed):
+            return
         self._slowlog.record(SlowQueryRecord(
             trace_id=trace.trace_id,
             query=key[0],

@@ -81,7 +81,7 @@ def assign_child_component(
 
 def format_code(code: DeweyCode) -> str:
     """Render a code as the dotted form used in the paper, e.g. ``0.8.6``."""
-    return ".".join(str(component) for component in code)
+    return ".".join(map(str, code))
 
 
 def parse_code(text: str) -> DeweyCode:

@@ -65,6 +65,13 @@ class TestCodeMath:
         assert format_code(code) == "0.8.6"
         assert parse_code("0.8.6") == code
 
+    @given(st.lists(st.integers(min_value=0, max_value=10**12),
+                    min_size=1, max_size=12).map(tuple))
+    def test_format_parse_roundtrip_property(self, code):
+        text = format_code(code)
+        assert text == ".".join(str(component) for component in code)
+        assert parse_code(text) == code
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(EncodingError):
             parse_code("")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
 import statistics
@@ -234,6 +235,9 @@ def test_debug_slow_exposes_traced_requests(served):
     record = body["slow_queries"][0]
     assert record["trace_id"].startswith("query-")
     assert record["total_seconds"] > 0.0
+    if served.engine.system.telemetry.tracer.sample_every != 1:
+        # REPRO_TRACE_SAMPLE: an unsampled request keeps no span tree.
+        return
     (serve,) = record["spans"]
     assert serve["name"] == "serve"
     assert any(
@@ -428,3 +432,262 @@ def test_shutdown_of_a_server_that_never_served_returns():
     closer.join(2.0)
     assert not closer.is_alive()
     assert listening.fileno() == -1
+
+
+# ----------------------------------------------------------------------
+# wire conformance over raw sockets
+# ----------------------------------------------------------------------
+_QUERY = json.dumps({"query": "//item/name"}).encode()
+
+
+def _post_query(body=_QUERY, version="HTTP/1.1", extra=b""):
+    return (
+        f"POST /query {version}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n".encode()
+        + extra + b"\r\n" + body
+    )
+
+
+class _Wire:
+    """A raw client socket with a response reader that keeps its read
+    buffer across responses (pipelined answers share one read)."""
+
+    def __init__(self, server):
+        self.sock = socket.create_connection(server.address, timeout=10)
+        self.reader = self.sock.makefile("rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.reader.close()
+        self.sock.close()
+
+    def send(self, data):
+        self.sock.sendall(data)
+
+    def response(self):
+        """(status, lower-cased headers, body), or None at end of file."""
+        status_line = self.reader.readline()
+        if not status_line:
+            return None
+        version, status, _reason = status_line.decode().split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = {}
+        while True:
+            line = self.reader.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _, value = line.decode().partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = self.reader.read(int(headers.get("content-length", "0")))
+        return int(status), headers, body
+
+    def closed(self):
+        """Whether the server closed the connection (end of file)."""
+        return self.reader.read(1) == b""
+
+
+def _refused(server, request, status):
+    with _Wire(server) as wire:
+        wire.send(request)
+        got, headers, body = wire.response()
+        assert got == status, body
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"] == "ProtocolError"
+        assert wire.closed()
+
+
+def test_expect_100_continue_gets_an_interim_response(served):
+    body = json.dumps({"query": "//item/name", "pad": "x" * 2048}).encode()
+    with _Wire(served) as wire:
+        wire.send(_post_query(body, extra=b"Expect: 100-continue\r\n")
+                  .split(b"\r\n\r\n", 1)[0] + b"\r\n\r\n")
+        assert wire.reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert wire.reader.readline() == b"\r\n"
+        wire.send(body)
+        status, headers, payload = wire.response()
+        assert status == 200
+        assert json.loads(payload)["count"] > 0
+        assert "connection" not in headers  # kept alive
+
+
+@pytest.mark.parametrize("line", [
+    b"GARBAGE",
+    b"GET /healthz",  # HTTP/0.9
+    b"GET /healthz HTTP/1.1 extra",
+    b"GET /healthz HTP/1.1",
+    b"GET /healthz HTTP/1.1.0",
+    b"GET /healthz HTTP/x.1",
+])
+def test_malformed_request_line_is_refused_and_closed(served, line):
+    _refused(served, line + b"\r\nHost: x\r\n\r\n", 400)
+
+
+def test_header_line_without_colon_is_refused(served):
+    _refused(served, b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400)
+    _refused(served, b"GET /healthz HTTP/1.1\r\nHost : x\r\n\r\n", 400)
+
+
+def test_header_count_limit(served):
+    hundred = b"".join(b"X-Pad-%d: 1\r\n" % index for index in range(100))
+    with _Wire(served) as wire:
+        wire.send(b"GET /healthz HTTP/1.1\r\n" + hundred + b"\r\n")
+        assert wire.response()[0] == 200
+    _refused(
+        served,
+        b"GET /healthz HTTP/1.1\r\n" + hundred + b"X-Pad: 101\r\n\r\n",
+        431,
+    )
+
+
+def test_overlong_request_and_header_lines(served):
+    _refused(served, b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414)
+    _refused(
+        served,
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n",
+        431,
+    )
+
+
+def test_http_2_is_not_supported(served):
+    _refused(served, b"GET /healthz HTTP/2.0\r\n\r\n", 505)
+
+
+def test_unknown_method_is_not_implemented(served):
+    _refused(
+        served, b"PUT /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501
+    )
+
+
+@pytest.mark.parametrize("extra,kept", [
+    (b"", False),
+    (b"Connection: keep-alive\r\n", True),
+])
+def test_http_1_0_closes_unless_asked_to_keep_alive(served, extra, kept):
+    with _Wire(served) as wire:
+        wire.send(_post_query(version="HTTP/1.0", extra=extra))
+        status, headers, _ = wire.response()
+        assert status == 200
+        if not kept:
+            assert headers["connection"] == "close"
+            assert wire.closed()
+            return
+        assert "connection" not in headers
+        wire.send(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+        assert wire.response()[0] == 200
+
+
+def test_connection_close_is_honoured(served):
+    with _Wire(served) as wire:
+        wire.send(_post_query(extra=b"Connection: close\r\n"))
+        status, headers, _ = wire.response()
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert wire.closed()
+
+
+def test_get_with_a_body_closes_the_connection(served):
+    """GET reads no body; the server closes rather than parse the body
+    as the next request."""
+    with _Wire(served) as wire:
+        wire.send(b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+        status, headers, _ = wire.response()
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert wire.closed()
+
+
+def test_pipelined_requests_are_answered_in_order(served):
+    with _Wire(served) as wire:
+        wire.send(_post_query() + b"GET /healthz HTTP/1.1\r\n\r\n")
+        status, _, body = wire.response()
+        assert status == 200 and "codes" in json.loads(body)
+        status, _, body = wire.response()
+        assert status == 200 and json.loads(body)["status"] == "ok"
+
+
+def test_body_split_across_sends_is_read_whole(served):
+    request = _post_query()
+    with _Wire(served) as wire:
+        wire.send(request[:-5])
+        time.sleep(0.05)
+        wire.send(request[-5:])
+        status, _, body = wire.response()
+        assert status == 200
+        assert json.loads(body)["count"] > 0
+
+
+class _CountingSocket:
+    """An accepted socket that records each ``sendall``."""
+
+    def __init__(self, sock, sent):
+        self._sock = sock
+        self._sent = sent
+
+    def sendall(self, data):
+        self._sent.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_json_response_leaves_in_one_sendall(served):
+    sent: list[bytes] = []
+    server = QueryServiceServer(served.engine, QueryScheduler(served.engine))
+
+    class _Counting(server._httpd.RequestHandlerClass):
+        def setup(self):
+            self.request = _CountingSocket(self.request, sent)
+            super().setup()
+
+    server._httpd.RequestHandlerClass = _Counting
+    server.start()
+    try:
+        with _Wire(server) as wire:
+            for _ in range(2):  # a cold read, then a plan-cache hit
+                sent.clear()
+                wire.send(_post_query())
+                status, headers, body = wire.response()
+                assert status == 200
+                assert len(sent) == 1
+                assert sent[0].startswith(b"HTTP/1.1 200 OK\r\n")
+                assert sent[0].endswith(b"\r\n\r\n" + body)
+                assert headers["content-type"] == "application/json"
+                assert headers["server"].startswith("repro-service/1.0")
+                assert headers["date"].endswith(" GMT")
+    finally:
+        server.shutdown()
+
+
+class _ResetWriter:
+    """A ``wfile`` whose peer has reset the connection."""
+
+    def __init__(self):
+        self.attempts = 0
+
+    def write(self, data):
+        self.attempts += 1
+        raise ConnectionResetError("connection reset by peer")
+
+
+@pytest.mark.parametrize("request_bytes", [
+    _post_query(),
+    b"GET /healthz HTTP/1.1\r\n\r\n",
+    b"GET /healthz HTTP/2.0\r\n\r\n",
+])
+def test_client_reset_on_the_write_path_writes_nothing_more(
+    served, request_bytes
+):
+    """A reset while the response is written closes the connection;
+    the failure is not answered with a second write to the dead
+    socket, and nothing escapes the handler."""
+    handler_class = served._httpd.RequestHandlerClass
+    handler = handler_class.__new__(handler_class)
+    handler.rfile = io.BytesIO(request_bytes)
+    handler.wfile = _ResetWriter()
+    handler.handle_one_request()
+    assert handler.wfile.attempts == 1
+    assert handler.close_connection

@@ -16,6 +16,7 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.system import AnswerOutcome, MaterializedViewSystem
 from repro.delta import DocumentEditor
@@ -30,6 +31,7 @@ from repro.obs import (
     SlowQueryLog,
     SlowQueryRecord,
     Telemetry,
+    Trace,
     Tracer,
     current_trace,
     parse_exposition,
@@ -42,6 +44,7 @@ from repro.service import (
     SnapshotEngine,
     error_payload,
 )
+from repro.service import scheduler as scheduler_module
 from repro.workload.xmark import generate_xmark
 from repro.xmltree import XMLNode
 from repro.xmltree.builder import encode_tree
@@ -216,6 +219,106 @@ def test_slowlog_keeps_the_slowest():
     assert [entry.trace_id for entry in entries] == ["b", "c"]
     assert log.stats() == {"capacity": 2, "resident": 2, "recorded": 4}
     assert entries[0].as_dict()["view_ids"] == ["v1"]
+
+
+def _offer(log: SlowQueryLog, trace_id: str, seconds: float) -> bool:
+    """Offer a finished request the way the scheduler does: ask the
+    floor first, build and record only what may enter."""
+    return not log.decline(seconds) and log.record(_record(trace_id, seconds))
+
+
+def test_slowlog_floor_declines_until_cleared():
+    log = SlowQueryLog(capacity=2)
+    assert not log.decline(0.0)  # not full: every offer may enter
+    assert _offer(log, "a", 0.10)
+    assert _offer(log, "b", 0.30)
+    assert log.decline(0.10)  # no slower than the fastest resident
+    assert not log.decline(0.11)
+    assert _offer(log, "c", 0.20)  # evicts a; the floor rises to 0.20
+    assert log.decline(0.15)
+    assert log.stats() == {"capacity": 2, "resident": 2, "recorded": 5}
+    log.clear()
+    assert not log.decline(0.0)
+    assert log.stats()["resident"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=4),
+    script=st.lists(
+        st.one_of(
+            st.none(),  # clear()
+            st.tuples(st.integers(min_value=0, max_value=12), st.booleans()),
+        ),
+        max_size=60,
+    ),
+)
+def test_slowlog_residents_are_a_reference_top_n(capacity, script):
+    """Whether or not the floor is asked first, the residents are the
+    top ``capacity`` durations offered since the last ``clear()``,
+    and ``recorded`` counts every offer."""
+    log = SlowQueryLog(capacity=capacity)
+    since_clear: list[float] = []
+    offers = 0
+    for step in script:
+        if step is None:
+            log.clear()
+            since_clear = []
+            continue
+        tenths, ask_floor = step
+        seconds = tenths / 10
+        offers += 1
+        since_clear.append(seconds)
+        if ask_floor:
+            _offer(log, f"r{offers}", seconds)
+        else:
+            log.record(_record(f"r{offers}", seconds))
+        resident = [entry.total_seconds for entry in log.entries()]
+        assert resident == sorted(since_clear, reverse=True)[:capacity]
+    assert log.stats()["recorded"] == offers
+
+
+def test_slowlog_floor_skips_record_and_span_tree_for_fast_hits(
+    small_system, monkeypatch
+):
+    engine = SnapshotEngine(small_system)
+    scheduler = QueryScheduler(engine, workers=1)
+    slowlog = small_system.telemetry.slowlog
+    built: list[object] = []
+    trees: list[object] = []
+    real_record = scheduler_module.SlowQueryRecord
+    real_tree = Trace.span_tree
+
+    def counting_record(*args, **kwargs):
+        built.append(args or kwargs)
+        return real_record(*args, **kwargs)
+
+    def counting_tree(self):
+        trees.append(self)
+        return real_tree(self)
+
+    monkeypatch.setattr(scheduler_module, "SlowQueryRecord", counting_record)
+    monkeypatch.setattr(Trace, "span_tree", counting_tree)
+    try:
+        scheduler.submit("//item/name")  # the plan is cached from here
+        slowlog.clear()
+        for index in range(slowlog.capacity):
+            slowlog.record(_record(f"slow-{index}", 3600.0))
+        built.clear()
+        trees.clear()
+        before = slowlog.stats()["recorded"]
+        outcome = scheduler.submit("//item/name")
+        assert outcome.plan_cache_hit
+        assert built == [] and trees == []
+        assert slowlog.stats()["recorded"] == before + 1
+        assert all(e.trace_id.startswith("slow-") for e in slowlog.entries())
+        slowlog.clear()  # the floor resets: the next hit enters
+        assert scheduler.submit("//item/name").plan_cache_hit
+        assert len(built) == 1 and len(trees) == 1
+        assert slowlog.stats()["resident"] == 1
+    finally:
+        scheduler.close()
+        slowlog.clear()
 
 
 # ----------------------------------------------------------------------
