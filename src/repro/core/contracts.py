@@ -70,13 +70,23 @@ class ContractViolation(ReproError):
     """
 
 
+#: ``os.environ``'s backing dict, keyed and valued in the platform's
+#: encoding.  Every ``os.environ`` write (``monkeypatch.setenv`` and
+#: ``delenv`` included) updates it in place, so a probe of it is a read
+#: of the live environment — without the key encode and value decode
+#: that ``os.environ.get`` runs on every call.
+_ENVIRON: dict[object, object] = getattr(os.environ, "_data")
+_CHECK_KEY: object = getattr(os.environ, "encodekey")("XMVR_CHECK")
+_CHECK_ON: object = getattr(os.environ, "encodevalue")("1")
+
+
 def enabled() -> bool:
     """Whether contract checking is on (``XMVR_CHECK=1``).
 
     Read from the environment on every call so tests can flip it
-    per-case; the lookup is one dict probe.
+    per-case; the lookup is one dict probe on pre-encoded constants.
     """
-    return os.environ.get("XMVR_CHECK") == "1"
+    return _ENVIRON.get(_CHECK_KEY) == _CHECK_ON
 
 
 def sample_every() -> int:

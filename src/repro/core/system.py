@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import contracts
 from ..errors import ViewNotAnswerableError
@@ -131,7 +131,9 @@ class AnswerOutcome:
     ``codes`` is the answer set; ``lookup_seconds`` covers filtering +
     selection (the paper's Figure 9 metric), ``total_seconds`` the whole
     pipeline (Figure 8).  ``selection`` / ``rewrite_result`` expose the
-    intermediate artifacts.  ``plan_cache_hit`` marks answers served
+    intermediate artifacts.  ``candidates`` is the VFILTER candidate
+    tuple the plan holds, shared and read-only (empty for ``MN``, which
+    does not filter).  ``plan_cache_hit`` marks answers served
     from a cached plan; ``stage_seconds`` breaks the call down into
     ``parse`` / ``lookup`` / ``rewrite``.  ``epoch_seq`` is the
     sequence number of the registry epoch the answer was derived
@@ -145,7 +147,7 @@ class AnswerOutcome:
     filter_result: FilterResult | None = None
     lookup_seconds: float = 0.0
     total_seconds: float = 0.0
-    candidates: list[str] = field(default_factory=list)
+    candidates: Sequence[str] = field(default_factory=list)
     plan_cache_hit: bool = False
     stage_seconds: dict[str, float] = field(default_factory=dict)
     epoch_seq: int = -1
@@ -689,15 +691,18 @@ class MaterializedViewSystem:
             if epoch is None:
                 epoch = self._epoch
             self._stage_hist.observe(started - entered, "parse")
-            root.attributes["query"] = query_key
-            root.attributes["epoch"] = epoch.seq
 
             entry = (
                 epoch.plan_cache.get(query_key, strategy)
                 if epoch.plan_cache.enabled
                 else None
             )
-            root.attributes["cache"] = "warm" if entry is not None else "cold"
+            if trace.sampled:
+                root.attributes["query"] = query_key
+                root.attributes["epoch"] = epoch.seq
+                root.attributes["cache"] = (
+                    "warm" if entry is not None else "cold"
+                )
             # One read of XMVR_CHECK per answer, shared by both paths.
             checked = contracts.enabled()
             if entry is not None:
@@ -869,7 +874,9 @@ class MaterializedViewSystem:
             filter_result=filter_result,
             lookup_seconds=lookup_done - started,
             total_seconds=finished - started,
-            candidates=filter_result.candidates if filter_result else [],
+            candidates=(
+                filter_result.frozen_candidates if filter_result else []
+            ),
             plan_cache_hit=False,
             stage_seconds={
                 "parse": started - entered,
@@ -922,29 +929,36 @@ class MaterializedViewSystem:
             contracts.check_document_order(
                 result.codes, f"answer({query_key!r}, {strategy}) [warm]"
             )
-        finished = self._clock.monotonic()
+            finished = self._clock.monotonic()
+        else:
+            # Unchecked, nothing runs between the two readings.
+            finished = lookup_done
 
         self._answer_hist.observe(finished - started, "warm")
         self._stage_hist.observe(lookup_done - started, "lookup")
         self._stage_hist.observe(finished - lookup_done, "rewrite")
+        # Positional on purpose: CPython 3.11 packs keyword arguments to
+        # a class call into a dict for ``__init__``, which cost about as
+        # much as the rest of the construction.
         return AnswerOutcome(
-            codes=list(result.codes),
-            strategy=strategy,
-            selection=entry.selection,
-            rewrite_result=result,
-            filter_result=entry.filter_result,
-            lookup_seconds=lookup_done - started,
-            total_seconds=finished - started,
-            candidates=(
-                entry.filter_result.candidates if entry.filter_result else []
+            list(result.codes),  # codes
+            strategy,
+            entry.selection,
+            result,  # rewrite_result
+            entry.filter_result,
+            lookup_done - started,  # lookup_seconds
+            finished - started,  # total_seconds
+            (  # candidates
+                entry.filter_result.frozen_candidates
+                if entry.filter_result else []
             ),
-            plan_cache_hit=True,
-            stage_seconds={
+            True,  # plan_cache_hit
+            {  # stage_seconds
                 "parse": started - entered,
                 "lookup": lookup_done - started,
                 "rewrite": finished - lookup_done,
             },
-            epoch_seq=epoch.seq,
+            epoch.seq,
         )
 
     def try_answer(

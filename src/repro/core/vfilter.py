@@ -52,12 +52,19 @@ class FilterResult:
     each query path pattern to its ``LIST(P_i)``: pairs
     ``(view_id, length)`` sorted by length descending (ties by view id
     for determinism), already restricted to candidate views — the
-    paper's lines 22-26.
+    paper's lines 22-26.  ``frozen_candidates`` holds the same ids as a
+    tuple built once, for handing out from a cached plan without a copy.
     """
 
     candidates: list[str]
     lists: dict[PathPattern, list[tuple[str, int]]] = field(default_factory=dict)
     query_paths: list[PathPattern] = field(default_factory=list)
+    frozen_candidates: tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.frozen_candidates = tuple(self.candidates)
 
 
 class VFilter:

@@ -8,9 +8,10 @@ reports all read the same cells instead of keeping parallel tallies.
 Design constraints, in order:
 
 * **Cheap on the hot path.**  ``Counter.inc`` / ``Histogram.observe``
-  are one short lock acquisition around two float adds; labeled
-  children are resolved once and cached by the caller as plain
-  objects.  No allocation after the first touch of a label set.
+  are one short lock acquisition around a cell probe and two adds
+  (one for a counter); label arity is checked only when a label set is
+  first touched, since a wrong-arity key can never already have a
+  cell.  No allocation after the first touch of a label set.
 * **Lock discipline** (xmvrlint L10–L14): every mutable cell is
   ``#: guarded-by:`` its own leaf lock; nothing blocking ever runs
   under one, and no registry lock is held while user callbacks run
@@ -97,8 +98,8 @@ class _Metric:
         self._arity = len(self.labelnames)
 
     def _check_labels(self, labelvalues: tuple[str, ...]) -> None:
-        # Hot paths (``inc``/``observe``) compare the length inline and
-        # call this only to raise.
+        # Hot paths (``inc``/``observe``) call this only when a label
+        # set gets its first cell.
         if len(labelvalues) != self._arity:
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames}, "
@@ -150,16 +151,18 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, *labelvalues: str) -> None:
         """Add ``amount`` (must be >= 0) to the cell for
         ``labelvalues`` (empty for an unlabeled counter)."""
-        if self._fn is not None:
-            raise ValueError(f"{self.name} is a callback counter")
         if amount < 0:
             raise ValueError("counters only go up")
-        if len(labelvalues) != self._arity:
-            self._check_labels(labelvalues)
         with self._lock:
-            self._values[labelvalues] = (
-                self._values.get(labelvalues, 0.0) + amount
-            )
+            if labelvalues in self._values:
+                self._values[labelvalues] += amount
+                return
+            # First touch of this label set; a callback counter has no
+            # cells, so every ``inc`` on one lands here.
+            if self._fn is not None:
+                raise ValueError(f"{self.name} is a callback counter")
+            self._check_labels(labelvalues)
+            self._values[labelvalues] = float(amount)
 
     def value(self, *labelvalues: str) -> float:
         if self._fn is not None:
@@ -226,11 +229,11 @@ class Gauge(_Metric):
 
 @dataclass(slots=True)
 class _HistogramCell:
-    """Bucket counts + running sum for one label set."""
+    """Bucket counts + running sum for one label set (the observation
+    count is the counts' sum, taken when read)."""
 
     counts: list[int]
     total: float = 0.0
-    count: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,17 +306,15 @@ class Histogram(_Metric):
         self._cells: dict[tuple[str, ...], _HistogramCell] = {}
 
     def observe(self, value: float, *labelvalues: str) -> None:
-        if len(labelvalues) != self._arity:
-            self._check_labels(labelvalues)
         with self._lock:
             cell = self._cells.get(labelvalues)
             if cell is None:
+                self._check_labels(labelvalues)
                 cell = _HistogramCell([0] * (len(self.bounds) + 1))
                 self._cells[labelvalues] = cell
             # First bound >= value; past the last bound is ``+Inf``.
             cell.counts[bisect_left(self.bounds, value)] += 1
             cell.total += value
-            cell.count += 1
 
     def view(self, *labelvalues: str) -> HistogramView:
         """A consistent reading for one label set (zeros if unseen)."""
@@ -324,9 +325,9 @@ class Histogram(_Metric):
                 return HistogramView(
                     self.bounds, (0,) * (len(self.bounds) + 1), 0.0, 0
                 )
-            return HistogramView(
-                self.bounds, tuple(cell.counts), cell.total, cell.count
-            )
+            counts = tuple(cell.counts)
+            total = cell.total
+        return HistogramView(self.bounds, counts, total, sum(counts))
 
     def sums(self) -> dict[tuple[str, ...], float]:
         """Exact per-label-set sums (the ``stage_seconds`` source)."""
@@ -338,12 +339,13 @@ class Histogram(_Metric):
     def snapshot(self) -> MetricSnapshot:
         with self._lock:
             cells = {
-                key: (tuple(cell.counts), cell.total, cell.count)
+                key: (tuple(cell.counts), cell.total)
                 for key, cell in self._cells.items()
             }
         samples: list[MetricSample] = []
         for key in sorted(cells):
-            counts, total, count = cells[key]
+            counts, total = cells[key]
+            count = sum(counts)
             base = _label_items(self.labelnames, key)
             cumulative = 0
             for index, bound in enumerate(self.bounds):

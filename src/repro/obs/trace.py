@@ -8,8 +8,10 @@ sees a tracer object: it asks :func:`current_trace` (a
 :class:`contextvars.ContextVar`) for the active trace and opens spans
 on it.  When no trace is active, or the trace was sampled out,
 :func:`current_trace` hands back a shared null object whose ``span``
-is a reusable no-op context manager — the cost of instrumentation at
-rest is one context-variable read and one method call.
+returns one shared, class-based no-op context manager (no generator,
+no span object per call), and whose yielded null span drops attribute
+writes — the cost of instrumentation at rest is one context-variable
+read, one method call and two slot calls for ``with``.
 
 **Sampling** (``REPRO_TRACE_SAMPLE=N``): the tracer records full span
 trees for one trace in every ``N`` (1 = every trace, the default;
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -92,12 +94,22 @@ class Trace:
         #: guarded-by: _lock (writes)
         self.spans: list[Span] = []
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Record one span; nests under the innermost open span."""
+    def span(
+        self, name: str, **attributes: Any
+    ) -> AbstractContextManager[Span]:
+        """Record one span; nests under the innermost open span.
+
+        An unsampled trace records nothing and returns the shared
+        :data:`_NULL_SCOPE`: no generator, no span object, no lock.
+        """
         if not self.sampled:
-            yield _NULL_SPAN
-            return
+            return _NULL_SCOPE
+        return self._recorded_span(name, attributes)
+
+    @contextmanager
+    def _recorded_span(
+        self, name: str, attributes: dict[str, Any]
+    ) -> Iterator[Span]:
         with self._lock:
             span_id = self._next_span
             self._next_span += 1
@@ -109,7 +121,7 @@ class Trace:
             parent_id=parent,
             started_wall=self._clock.wall(),
             started_monotonic=self._clock.monotonic(),
-            attributes=dict(attributes),
+            attributes=attributes,
         )
         try:
             yield record
@@ -167,12 +179,49 @@ class _NullTrace(Trace):
         super().__init__("", sampled=False, clock=SYSTEM_CLOCK)
 
 
+class _NullAttributes(dict[str, Any]):
+    """An attribute dict that drops every write, so the one shared
+    null span never holds (or keeps alive) a request's values."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        pass
+
+    def __ior__(self, other: Any) -> "_NullAttributes":
+        return self
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def setdefault(self, key: str, default: Any = None) -> Any:
+        return default
+
+
 #: Placeholder span yielded by unsampled ``span()`` calls so callers
-#: may unconditionally set attributes on the yielded object.
+#: may unconditionally set attributes on the yielded object; the writes
+#: land nowhere.
 _NULL_SPAN = Span(
     name="", span_id=0, parent_id=None,
     started_wall=0.0, started_monotonic=0.0,
+    attributes=_NullAttributes(),
 )
+
+
+class _NullScope(AbstractContextManager[Span]):
+    """The no-op context manager every unsampled ``span()`` returns:
+    one shared instance whose ``with`` yields :data:`_NULL_SPAN`."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> Span:
+        return _NULL_SPAN
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NULL_SCOPE = _NullScope()
 
 NULL_TRACE = _NullTrace()
 

@@ -59,6 +59,38 @@ def test_enabled_reads_environment(monkeypatch):
     assert contracts.enabled()
 
 
+def test_check_flag_flips_between_answers_on_one_system(monkeypatch):
+    """``XMVR_CHECK`` is read on every answer, cold and warm: setting
+    and deleting it between answers on one system turns the checks on
+    and off with no restart."""
+    checked = []
+    check = contracts.check_document_order
+
+    def recording_check(codes, context):
+        checked.append(context)
+        check(codes, context)
+
+    monkeypatch.setattr(contracts, "check_document_order", recording_check)
+    doc = encode_tree(build_tree(("b", ["t", ("s", ["t", "p"])])))
+    system = MaterializedViewSystem(doc)
+    system.register_views({"vp": "//s/p", "vt": "//s/t"})
+
+    monkeypatch.delenv("XMVR_CHECK")
+    system.answer("//s/p")  # cold
+    system.answer("//s/p")  # warm
+    assert checked == []
+    monkeypatch.setenv("XMVR_CHECK", "1")
+    system.answer("//s/p")  # warm
+    system.answer("//s/t")  # cold
+    assert [context.endswith("[warm]") for context in checked] == [
+        True, False
+    ]
+    monkeypatch.delenv("XMVR_CHECK")
+    system.answer("//s/p")
+    system.answer("//s/t")
+    assert len(checked) == 2
+
+
 def test_sample_every_parses_and_clamps(monkeypatch):
     monkeypatch.setenv("XMVR_CHECK_SAMPLE", "3")
     assert contracts.sample_every() == 3

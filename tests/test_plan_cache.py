@@ -16,7 +16,9 @@ The invariants under test:
 """
 
 import gc
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro import MaterializedViewSystem, ViewNotAnswerableError, encode_tree, p
 from repro.bench import TEST_QUERIES
 from repro.core import contracts
 from repro.delta.maintenance import DocumentEditor
+from repro.obs import NULL_TRACE, current_trace
 from repro.core.plancache import PlanCache, PlanEntry
 from repro.service import build_query_mix, zipf_weights
 from repro.xmltree.tree import XMLNode
@@ -104,6 +107,21 @@ def test_warm_codes_are_independent_copies():
     first.codes.append((9, 9, 9))  # caller mutates its outcome
     second = system.answer("s[t]/p")
     assert (9, 9, 9) not in second.codes
+
+
+def test_answer_candidates_cannot_change_the_cached_plan():
+    """``candidates`` is the plan's own tuple, built once: shared by
+    every hit without a copy, and no caller can edit it."""
+    system = _book_system()
+    cold = system.answer("s[f//i][t]/p")
+    with pytest.raises(AttributeError):
+        cold.candidates.append("BOGUS")
+    warm = system.answer("s[f//i][t]/p")
+    again = system.answer("s[f//i][t]/p")
+    assert warm.plan_cache_hit
+    assert warm.candidates == tuple(warm.filter_result.candidates)
+    assert "BOGUS" not in warm.candidates
+    assert again.candidates is warm.candidates is cold.candidates
 
 
 def test_equivalent_spellings_share_a_plan():
@@ -481,6 +499,45 @@ def test_warm_hits_build_no_patterns_and_leave_no_cyclic_garbage(monkeypatch):
         gc.enable()
     assert hits == len(replay)
     assert built == []
+    assert garbage == 0
+
+
+def test_warm_hits_share_the_null_scope_and_run_no_generators(monkeypatch):
+    """With no trace active, every ``span()`` is one shared no-op scope,
+    so a warm hit runs no generator frame (a ``@contextmanager`` span
+    is one per call) and leaves no cyclic garbage.  Counts, not
+    timings."""
+    monkeypatch.setenv("XMVR_CHECK", "0")
+    system = xmark_twin()
+    pool = [expression for expression, _ in TEST_QUERIES.values()]
+    for expression in pool:
+        system.answer(expression)
+    replay = random.Random(11).choices(
+        pool, weights=zipf_weights(len(pool)), k=1000
+    )
+    trace = current_trace()
+    assert trace is NULL_TRACE
+    assert trace.span("answer", strategy="HV") is trace.span("parse")
+
+    generator_frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            generator_frames.append(frame.f_code.co_name)
+
+    hits = 0
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        for expression in replay:
+            hits += system.answer(expression).plan_cache_hit
+    finally:
+        sys.setprofile(None)
+        garbage = gc.collect()
+        gc.enable()
+    assert hits == len(replay)
+    assert generator_frames == []
     assert garbage == 0
 
 

@@ -12,6 +12,7 @@ concurrent epoch swaps.
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -44,10 +45,12 @@ from repro.service import (
     SnapshotEngine,
     error_payload,
 )
+from repro.obs.trace import _NULL_SPAN
 from repro.service import scheduler as scheduler_module
 from repro.workload.xmark import generate_xmark
 from repro.xmltree import XMLNode
 from repro.xmltree.builder import encode_tree
+from repro.xpath.parser import parse_xpath
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +122,68 @@ def test_histogram_buckets_sum_and_percentiles():
     assert histogram.sums() == {(): pytest.approx(2.605)}
 
 
+def test_metric_cells_lose_no_update_across_threads():
+    """4 threads x 5,000 ``observe``/``inc`` calls on one label set:
+    no count is lost and the sum is exact (every value is dyadic, so
+    float addition in any order is exact)."""
+    histogram = Histogram(
+        "repro_race_seconds", "race", ("stage",), buckets=(0.5, 1.0, 2.0)
+    )
+    counter = Counter("repro_race_total", "race", ("stage",))
+    values = (0.25, 0.75, 1.5, 4.0)  # one per bucket, overflow included
+    calls = 5000
+    barrier = threading.Barrier(len(values))
+
+    def hammer(value: float) -> None:
+        barrier.wait()
+        for _ in range(calls):
+            histogram.observe(value, "join")
+            counter.inc(value, "join")
+
+    threads = [
+        threading.Thread(target=hammer, args=(value,)) for value in values
+    ]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    view = histogram.view("join")
+    assert view.counts == (calls,) * len(values)
+    assert view.count == calls * len(values)
+    assert view.sum == calls * sum(values)
+    samples = {
+        (sample.name, sample.labels): sample.value
+        for sample in histogram.snapshot().samples
+    }
+    assert samples[("repro_race_seconds_count", (("stage", "join"),))] == (
+        calls * len(values)
+    )
+    assert counter.value("join") == calls * sum(values)
+
+
+def test_metric_label_arity_still_rejected_after_first_touch():
+    histogram = Histogram("repro_arity_seconds", "arity", ("stage",))
+    counter = Counter("repro_arity_total", "arity", ("stage",))
+    histogram.observe(0.1, "parse")
+    counter.inc(1.0, "parse")
+    for bad in ((), ("parse", "extra")):
+        with pytest.raises(ValueError):
+            histogram.observe(0.1, *bad)
+        with pytest.raises(ValueError):
+            counter.inc(1.0, *bad)
+    assert histogram.view("parse").count == 1
+    assert counter.value("parse") == 1.0
+    assert [s.labels for s in counter.snapshot().samples] == [
+        (("stage", "parse"),)
+    ]
+
+
 def test_histogram_exact_sums_per_label_set():
     histogram = Histogram("repro_stage_seconds", "stages", ("stage",))
     histogram.observe(0.25, "parse")
@@ -182,6 +247,37 @@ def test_unsampled_and_null_traces_are_noops():
     with NULL_TRACE.span("outside"):
         pass
     assert NULL_TRACE.spans == []
+
+
+def test_unsampled_spans_share_one_scope_and_drop_attribute_writes():
+    trace = Tracer(ManualClock(), sample_every=0).trace()
+    scope = trace.span("answer", strategy="HV")
+    assert scope is trace.span("parse")
+    assert scope is NULL_TRACE.span("outside")
+    with scope as span:
+        span.attributes["query"] = "//a"
+        span.attributes.update(epoch=3)
+        span.attributes |= {"cache": "warm"}
+        assert span.attributes.setdefault("views", []) == []
+        with trace.span("nested") as inner:
+            assert inner is span
+    assert span.attributes == {}
+    assert trace.spans == []
+
+
+def test_null_span_holds_nothing_after_unsampled_answers():
+    """Unsampled answers write their span attributes into the shared
+    null span; the writes must land nowhere (a shared dict would keep
+    the last request's objects alive across threads)."""
+    system = MaterializedViewSystem(
+        encode_tree(generate_xmark(scale=0.05, seed=11))
+    )
+    system.register_views({"name": "//item/name"})
+    assert current_trace() is NULL_TRACE
+    cold = system.answer("//item/name")
+    warm = system.answer("//item/name")
+    assert not cold.plan_cache_hit and warm.plan_cache_hit
+    assert _NULL_SPAN.attributes == {}
 
 
 def test_trace_activation_scopes_current_trace():
@@ -470,6 +566,11 @@ def test_answer_records_span_tree_when_traced(small_system):
         span for span in trace.span_tree() if span["name"] == "answer"
     ]
     assert root["attributes"]["strategy"] == "MV"
+    assert root["attributes"]["query"] == (
+        parse_xpath("//item/name").canonical_string()
+    )
+    assert root["attributes"]["epoch"] == small_system.current_epoch().seq
+    assert root["attributes"]["cache"] in ("cold", "warm")
     children = {child["name"] for child in root["children"]}
     assert "parse" in children
 
