@@ -70,7 +70,7 @@ def test_ablation_selection(benchmark, env, query_id, selector):
     truth = env.system.direct_codes(expression)
 
     result = _answer(env.system, selector, pattern)
-    assert result.codes == truth, (query_id, selector)
+    assert list(result.codes) == truth, (query_id, selector)
 
     selection = _select(env.system, selector, pattern)
     total_bytes = sum(

@@ -81,7 +81,7 @@ def main() -> None:
 
     query = parse_xpath(QUERY)
     result = vfilter.filter(query)
-    print(f"\n  filtering Qe = {QUERY}  ->  candidates {result.candidates}")
+    print(f"\n  filtering Qe = {QUERY}  ->  candidates {list(result.candidates)}")
     for path, entries in result.lists.items():
         print(f"    LIST({path.to_xpath()}) = {entries}")
 

@@ -526,7 +526,7 @@ def _cmd_filter(arguments: argparse.Namespace) -> int:
         vfilter.add_view(View.from_xpath(view_id, expression))
     query = parse_xpath(arguments.query)
     result = vfilter.filter(query)
-    print(f"candidates ({len(result.candidates)}): {result.candidates}")
+    print(f"candidates ({len(result.candidates)}): {list(result.candidates)}")
     for path, entries in result.lists.items():
         print(f"LIST({path.to_xpath()}) = {entries}")
     return 0

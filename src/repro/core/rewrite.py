@@ -50,13 +50,15 @@ __all__ = ["RewriteResult", "reencode_fragment", "rewrite"]
 class RewriteResult:
     """Outcome of a multiple-view rewriting.
 
-    ``codes`` is the answer set (extended Dewey codes, sorted);
-    ``answers`` maps each code to the answer node *inside its fragment*
-    (a subtree copy, usable without base-data access).  The remaining
-    fields expose what happened for inspection and benchmarks.
+    ``codes`` is the answer set (extended Dewey codes, sorted), a tuple
+    because a cached plan hands it to every caller; ``answers`` maps
+    each code to the answer node *inside its fragment* (a subtree copy,
+    usable without base-data access) and is read-only by contract for
+    the same reason.  The remaining fields expose what happened for
+    inspection and benchmarks.
     """
 
-    codes: list[DeweyCode]
+    codes: tuple[DeweyCode, ...]
     answers: dict[DeweyCode, XMLNode] = field(default_factory=dict)
     refined: list[RefinedUnit] = field(default_factory=list)
     extraction_view: str = ""
@@ -152,7 +154,7 @@ def rewrite(
             if not refined.fragments:
                 # Some required piece has no instances: the answer is
                 # empty.
-                return RewriteResult([], refined=refined_units + [refined])
+                return RewriteResult((), refined=refined_units + [refined])
             refined_units.append(refined)
     if stage_acc is not None:
         stage_acc["refine"] += monotonic() - refine_started
@@ -208,7 +210,7 @@ def rewrite(
     if stage_acc is not None:
         stage_acc["extract"] += monotonic() - extract_started
     return RewriteResult(
-        [code for _packed, code in sorted(ordered)],
+        tuple([code for _packed, code in sorted(ordered)]),
         answers=answers,
         refined=refined_units,
         extraction_view=extraction.unit.view.view_id,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import contracts
 from ..errors import ViewNotAnswerableError
@@ -147,7 +147,7 @@ class AnswerOutcome:
     filter_result: FilterResult | None = None
     lookup_seconds: float = 0.0
     total_seconds: float = 0.0
-    candidates: Sequence[str] = field(default_factory=list)
+    candidates: tuple[str, ...] = ()
     plan_cache_hit: bool = False
     stage_seconds: dict[str, float] = field(default_factory=dict)
     epoch_seq: int = -1
@@ -874,9 +874,7 @@ class MaterializedViewSystem:
             filter_result=filter_result,
             lookup_seconds=lookup_done - started,
             total_seconds=finished - started,
-            candidates=(
-                filter_result.frozen_candidates if filter_result else []
-            ),
+            candidates=filter_result.candidates if filter_result else (),
             plan_cache_hit=False,
             stage_seconds={
                 "parse": started - entered,
@@ -949,8 +947,7 @@ class MaterializedViewSystem:
             lookup_done - started,  # lookup_seconds
             finished - started,  # total_seconds
             (  # candidates
-                entry.filter_result.frozen_candidates
-                if entry.filter_result else []
+                entry.filter_result.candidates if entry.filter_result else ()
             ),
             True,  # plan_cache_hit
             {  # stage_seconds

@@ -48,23 +48,18 @@ _REBUILD_DELTAS = 24
 class FilterResult:
     """Output of Algorithm 1 for one query.
 
-    ``candidates`` preserves view registration order.  ``lists`` maps
-    each query path pattern to its ``LIST(P_i)``: pairs
-    ``(view_id, length)`` sorted by length descending (ties by view id
-    for determinism), already restricted to candidate views — the
-    paper's lines 22-26.  ``frozen_candidates`` holds the same ids as a
-    tuple built once, for handing out from a cached plan without a copy.
+    ``candidates`` preserves view registration order; it is a tuple,
+    so a cached plan hands it out without a copy.  ``lists`` maps each
+    query path pattern to its ``LIST(P_i)``: pairs ``(view_id, length)``
+    sorted by length descending (ties by view id for determinism),
+    already restricted to candidate views — the paper's lines 22-26.
+    ``lists`` is read-only by contract: a cached plan shares it with
+    every caller.
     """
 
-    candidates: list[str]
+    candidates: tuple[str, ...]
     lists: dict[PathPattern, list[tuple[str, int]]] = field(default_factory=dict)
     query_paths: list[PathPattern] = field(default_factory=list)
-    frozen_candidates: tuple[str, ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        self.frozen_candidates = tuple(self.candidates)
 
 
 class VFilter:
@@ -255,7 +250,9 @@ class VFilter:
                 if self._constrained.get(view_id, frozenset())
                 <= query_constraints
             }
-        candidates = sorted(candidate_set, key=self._order_index.__getitem__)
+        candidates = tuple(
+            sorted(candidate_set, key=self._order_index.__getitem__)
+        )
 
         # Lines 22-26: drop filtered views from the sorted lists.
         lists: dict[PathPattern, list[tuple[str, int]]] = {}
@@ -592,9 +589,9 @@ class LayeredVFilter:
             return base_result
         results = [base_result]
         results.extend(delta.filter(query) for delta in self.deltas)
-        candidates: list[str] = []
-        for result in results:
-            candidates.extend(result.candidates)
+        candidates = tuple(
+            view_id for result in results for view_id in result.candidates
+        )
         lists: dict[PathPattern, list[tuple[str, int]]] = {}
         for path in base_result.query_paths:
             merged: list[tuple[str, int]] = []

@@ -6,11 +6,11 @@ upkeep of the materialized views and caches:
 * :mod:`repro.delta.delta` — :class:`SubtreeDelta`, the pre-mutation
   summary of one edit (packed Dewey range + concrete label paths);
 * :mod:`repro.delta.resolver` — splits the view pool into untouched /
-  patchable / rebuild by running the delta through the VFILTER NFAs,
+  affected by running the delta through the VFILTER NFAs,
   scopes each flagged view's re-evaluation to the subtree where a
   predicate can flip, and classifies the cached plans those views
   flag the same way;
-* :mod:`repro.delta.patcher` — splices patchable views' fragments by
+* :mod:`repro.delta.patcher` — splices affected views' fragments by
   packed-Dewey range, byte-identical to a full re-materialization, and
   cached plans' answers by code range;
 * :mod:`repro.delta.maintenance` — :class:`DocumentEditor`, the write

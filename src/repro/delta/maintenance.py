@@ -9,16 +9,17 @@ the entire document.  This module replaces that with delta propagation:
 1. the edit is summarized as a :class:`SubtreeDelta` *before* the tree
    mutates (packed Dewey anchor + concrete label paths);
 2. the resolver runs the delta's paths through the epoch's VFILTER
-   NFAs and splits views into untouched / patchable / rebuild, and
-   scopes each flagged view: to the highest ancestor of the edit where
-   a predicate branch flips, else to the inserted subtree, else to a
+   NFAs and splits views into untouched and affected, and scopes each
+   affected view: to the highest ancestor of the edit where a
+   predicate branch flips, else to the inserted subtree, else to a
    content-only patch (:mod:`repro.delta.resolver` proves each verdict
    sound);
-3. patchable views are spliced in place by packed-Dewey range
+3. affected views are spliced in place by packed-Dewey range
    (:mod:`repro.delta.patcher`) after evaluating the pattern under the
    scope only; payloads are encoded once per edit and shared across
-   views.  Only schema-violating inserts pay a re-evaluation over the
-   whole document (a view the cap evicts leaves the pool for good);
+   views.  A schema-violating insert scopes every view to the document
+   root, so its splice replaces every stored fragment (a view the cap
+   evicts leaves the pool for good);
 4. the plan cache is maintained like the views: only plans that
    selected an affected view are flagged; the resolver
    classifies each flagged plan's query before the edit, and after it
@@ -33,9 +34,12 @@ Extended Dewey codes make the encoding side cheap: inserts append the
 subtree as the parent's last child so *no existing code changes*, and
 deletes remove codes without renumbering (a fragment stores the
 component of a node a delete left behind a gap, see
-:func:`~repro.storage.serialize.encode_fragment`).  Inserts whose labels violate
-the mined schema still fall back to a full re-encode + blanket rebuild
-(the FST alphabet itself changes), as do encode failures mid-edit.
+:func:`~repro.storage.serialize.encode_fragment`).  An insert whose labels
+violate the mined schema changes the FST alphabet and so every code:
+the document is re-encoded, and each view then takes the same patch
+path as any other edit, scoped to the document root (reason
+``full-reencode``).  A failed edit of either kind evicts the views it
+affects, whose fragments still hold the pre-edit document.
 
 Maintenance deliberately does **not** publish a new registry epoch: the
 epoch's per-epoch ``PlanCache`` must survive the edit so that its
@@ -54,7 +58,6 @@ from typing import Any
 from ..core import contracts
 from ..core.plancache import PlanEntry
 from ..core.system import MaterializedViewSystem
-from ..core.view import View
 from ..errors import EncodingError, SchemaError
 from ..matching.evaluate import evaluate
 from ..obs import current_trace
@@ -79,8 +82,6 @@ class ViewMaintenance:
     """How one affected view was maintained."""
 
     view_id: str
-    #: ``"patched"`` or ``"rebuilt"``.
-    mode: str
     reason: str
     splice: bool
     seconds: float
@@ -88,7 +89,6 @@ class ViewMaintenance:
     def as_dict(self) -> dict[str, Any]:
         return {
             "view_id": self.view_id,
-            "mode": self.mode,
             "reason": self.reason,
             "splice": self.splice,
             "seconds": self.seconds,
@@ -104,7 +104,7 @@ class MaintenanceReport:
     affected_views: list[str] = field(default_factory=list)
     skipped_views: list[str] = field(default_factory=list)
     full_reencode: bool = False
-    #: Per-view mode + timing, in maintenance order.
+    #: Per-view reason, splice flag and timing, in maintenance order.
     views: list[ViewMaintenance] = field(default_factory=list)
     #: Plan-cache upkeep outcome (see ``PlanUpkeep``).
     plans_dropped: int = 0
@@ -160,8 +160,7 @@ class DocumentEditor:
         #: state: counter
         self._views_total = registry.counter(
             "repro_maintenance_views_total",
-            "Per-view maintenance outcomes (patched / rebuilt / "
-            "untouched).",
+            "Per-view maintenance outcomes (patched / untouched).",
             ("mode",),
         )
         #: state: counter
@@ -219,55 +218,41 @@ class DocumentEditor:
             raise EncodingError(f"no node at code {parent_code}")
         if subtree.parent is not None:
             raise ValueError("subtree is already attached")
-
-        if not self._schema_admits(parent, subtree):
-            # New parent/child label pairs: the schema (and with it
-            # every code) must be rebuilt — no scoped path exists.
-            return self._insert_full(parent, subtree)
-
         delta = SubtreeDelta.for_insert(parent, subtree)
-        impacts = self._resolve(delta)
+        admitted = self._schema_admits(parent, subtree)
+        if admitted:
+            impacts = self._resolve(delta)
+        else:
+            # New parent/child label pairs change the schema and with
+            # it every code: each view is spliced over the whole
+            # document.
+            root = document.tree.root
+            impacts = AffectedViews(
+                tuple(
+                    ViewImpact(view, "full-reencode", root)
+                    for view in self.system.materialized_views()
+                ),
+                (),
+            )
         parent.add_child(subtree)
         try:
-            self._encode_new_subtree(parent, subtree)
-            assert subtree.dewey is not None
-            assert subtree.dewey_packed is not None
-            delta.bind_codes(subtree.dewey, subtree.dewey_packed)
-            self._patch_base_state(delta)
+            if admitted:
+                self._encode_new_subtree(parent, subtree)
+                assert subtree.dewey is not None
+                assert subtree.dewey_packed is not None
+                delta.bind_codes(subtree.dewey, subtree.dewey_packed)
+                self._patch_base_state(delta)
+            else:
+                fresh = self._full_reencode()
+                document.schema = fresh.schema
+                document.fst = fresh.fst
+                document.invalidate()
+                self._drop_base_indexes()
         except BaseException:
-            # The tree already holds the new subtree; cached plans,
-            # base-data indexes and the affected views' fragments must
-            # not outlive a failed encode.
-            self._invalidate_document()
-            self._evict_views(sorted(impacts.affected_ids()))
+            self._abandon_edit(impacts)
             raise
-        return self._apply_impacts(delta, impacts)
-
-    def _insert_full(
-        self, parent: XMLNode, subtree: XMLNode
-    ) -> MaintenanceReport:
-        """Schema-violating insert: re-encode everything, rebuild all
-        (every code changed, so nothing is patchable).  The scoped
-        invalidation in :meth:`_apply_impacts` covers every view, so it
-        drops every plan: the edit's one invalidation."""
-        delta = SubtreeDelta.for_insert(parent, subtree)
-        parent.add_child(subtree)
-        document = self.system.document
-        try:
-            fresh = self._full_reencode()
-            document.schema = fresh.schema
-            document.fst = fresh.fst
-            document.invalidate()
-            self._drop_base_indexes()
-        except BaseException:
-            self._invalidate_document()
-            raise
-        rebuild = tuple(
-            ViewImpact(view, "rebuild", "full-reencode")
-            for view in self.system.materialized_views()
-        )
-        report = self._apply_impacts(delta, AffectedViews(rebuild, ()))
-        report.full_reencode = True
+        report = self._apply_impacts(delta, impacts)
+        report.full_reencode = not admitted
         return report
 
     def _delete_subtree(self, code: DeweyCode) -> MaintenanceReport:
@@ -283,10 +268,18 @@ class DocumentEditor:
         try:
             self._patch_base_state(delta)
         except BaseException:
-            self._invalidate_document()
-            self._evict_views(sorted(impacts.affected_ids()))
+            self._abandon_edit(impacts)
             raise
         return self._apply_impacts(delta, impacts)
+
+    def _abandon_edit(self, impacts: AffectedViews) -> None:
+        """A failed edit: the tree already holds it, so the code lookup,
+        the base-data indexes and every cached plan go, and so do the
+        affected views, whose fragments still hold the pre-edit
+        document."""
+        self.system.document.invalidate()
+        self._drop_base_indexes()
+        self._evict_views(sorted(impacts.affected_ids()))
 
     # ------------------------------------------------------------------
     # delta propagation
@@ -351,50 +344,36 @@ class DocumentEditor:
         # packed code: one object, encoded and copied once, for every
         # view storing the code.
         encoded: dict[PackedCode, Fragment] = {}
-        for impact in impacts.impacts:
+        for index, impact in enumerate(impacts.impacts):
             view_id = impact.view.view_id
             report.affected_views.append(view_id)
             started = self._clock.monotonic()
-            patched = impact.mode == "patch"
             try:
-                if patched:
-                    with current_trace().span("delta_patch", view=view_id):
-                        answers = self._scoped_answers(impact)
-                        fits = self._patcher.patch(
-                            impact.view, delta, encoded, impact.scope, answers
-                        )
-                else:
-                    with current_trace().span("delta_rebuild", view=view_id):
-                        system.fragments.drop(view_id)
-                        answers = evaluate(
-                            impact.view.pattern, system.document.tree
-                        )
-                        fits = system.fragments.materialize(
-                            view_id,
-                            [
-                                (n.dewey, n)
-                                for n in answers
-                                if n.dewey is not None
-                            ],
-                        )
+                with current_trace().span("delta_patch", view=view_id):
+                    answers = self._scoped_answers(impact)
+                    fits = self._patcher.patch(
+                        impact.view, delta, encoded, impact.scope, answers
+                    )
             except BaseException:
-                # The fragments may be gone or torn; a view left in the
-                # answerable pool would rewrite queries against nothing
-                # and return wrong answers.
-                self._evict_views([view_id])
+                # This view's fragments may be torn, and the views not
+                # yet patched still hold the pre-edit document; left in
+                # the answerable pool, they would answer queries wrongly.
+                self._evict_views(
+                    capped
+                    + [later.view.view_id for later in impacts.impacts[index:]]
+                )
                 raise
             elapsed = self._clock.monotonic() - started
-            mode = "patched" if patched else "rebuilt"
             report.views.append(
-                ViewMaintenance(view_id, mode, impact.reason, impact.splice, elapsed)
+                ViewMaintenance(view_id, impact.reason, impact.splice, elapsed)
             )
-            self._views_total.inc(1.0, mode)
-            self._stage_hist.observe(elapsed, "patch" if patched else "rebuild")
+            self._views_total.inc(1.0, "patched")
+            self._stage_hist.observe(elapsed, "patch")
             if not fits:
                 capped.append(view_id)
             elif contracts.enabled():
                 contracts.check_patched_fragments(
-                    system, impact.view, f"{delta.operation} {mode}"
+                    system, impact.view, f"{delta.operation} {impact.reason}"
                 )
         if capped:
             # Views that outgrew the cap leave the answerable pool; the
@@ -406,12 +385,16 @@ class DocumentEditor:
         """The view's answers under the impact's scope (none without
         one): the pattern is evaluated over the scope's subtree, its
         ancestors and the resolver's branch witnesses
-        (:mod:`repro.delta.resolver`)."""
+        (:mod:`repro.delta.resolver`).  A root scope is the whole tree,
+        evaluated without listing it as a universe."""
         scope = impact.scope
         if scope is None:
             return set()
+        tree = self.system.document.tree
+        if scope is tree.root:
+            return evaluate(impact.view.pattern, tree)
         universe = [*scope.iter_subtree(), *scope.ancestors(), *impact.support]
-        return evaluate(impact.view.pattern, self.system.document.tree, universe)
+        return evaluate(impact.view.pattern, tree, universe)
 
     def _patch_base_state(self, delta: SubtreeDelta) -> None:
         """Patch the code lookup and lazy base-data indexes for the
@@ -510,15 +493,6 @@ class DocumentEditor:
         """Re-stamp every code of the tree under a freshly mined schema."""
         return encode_tree(self.system.document.tree)
 
-    def _invalidate_document(self) -> None:
-        """Blanket fallback invalidation (failed edits): every derived
-        artifact of the document goes."""
-        self.system.document.invalidate()
-        self._drop_base_indexes()
-        # Cached plans embed rewrite results over the old document;
-        # drop them here rather than relying on a later rebuild pass.
-        self.system._invalidate_plans()
-
     def _drop_base_indexes(self) -> None:
         """Reset the tree's label index and the lazy base-data indexes."""
         self.system.document.tree.invalidate_indexes()
@@ -531,9 +505,9 @@ class DocumentEditor:
             self.system._stream_index = None
 
     def _evict_views(self, view_ids: list[str]) -> None:
-        """Remove views from the answerable pool and rebuild VFILTER."""
+        """Remove views from the answerable pool and rebuild VFILTER;
+        every cached plan goes with them."""
         system = self.system
-        system._invalidate_plans()
         system._memo.evict_views(view_ids)
         system._evict_materialized(view_ids)
 

@@ -211,7 +211,7 @@ def patch_plan(
         entry.filter_result,
         entry.selection,
         result=RewriteResult(
-            codes[:start] + added + codes[stop:],
+            codes[:start] + tuple(added) + codes[stop:],
             answers=answers,
             refined=result.refined,
             extraction_view=result.extraction_view,

@@ -66,9 +66,11 @@ A scoped evaluation runs over the subtree under the scope, its
 ancestors, and the *support*: one post-edit embedding of the branches
 of every ``pi`` at every ancestor that hosts it (recorded by the
 no-flip tests, which hold both before and after the edit).  Every chain
-ending under the scope is then witnessed within that universe.  Only
-schema-violating inserts (every code changes) are still rebuilt over
-the whole document.  ``views`` is the epoch's answerable pool, so no
+ending under the scope is then witnessed within that universe.  The
+resolver never sees a schema-violating insert: it changes every code,
+so the editor re-encodes the document and scopes every view to the
+root (``full-reencode``), the one scope evaluated over the whole
+document.  ``views`` is the epoch's answerable pool, so no
 capped view reaches the resolver: the edit that pushes a view's
 fragments past the cap evicts it from the pool, and it stays out for
 good.  It keeps its catalog entry, so no later edit lists it as
@@ -122,15 +124,18 @@ _PACKED = attrgetter("packed")
 
 @dataclass(frozen=True, slots=True)
 class ViewImpact:
-    """One affected view and the maintenance mode chosen for it."""
+    """One affected view and how its fragments follow the edit.
+
+    Every impact is a patch.  ``reason`` names the verdict: one of the
+    resolver's (module docstring), or ``full-reencode`` for a
+    schema-violating insert, which re-encodes the document and scopes
+    every view to its root."""
 
     view: View
-    #: ``"patch"`` or ``"rebuild"``.
-    mode: str
     reason: str
     #: Splice root: the highest node where a predicate branch flipped,
-    #: or the root of the inserted subtree.  None for a content-only
-    #: patch (and for a rebuild).
+    #: the root of the inserted subtree, or the document root after a
+    #: full re-encode.  None for a content-only patch.
     scope: XMLNode | None = None
     #: Post-edit branch embeddings at the scope's ancestors.
     support: tuple[XMLNode, ...] = ()
@@ -179,8 +184,8 @@ def resolve_affected(
     views: list[View],
     plans: PlanCache | None = None,
 ) -> AffectedViews:
-    """Split ``views`` into untouched / patchable / rebuild for
-    ``delta``, and classify the cached ``plans`` the affected views
+    """Split ``views`` into untouched and affected for ``delta``, and
+    classify the cached ``plans`` the affected views
     flag."""
     answer_hits: set[str] = set()
     for labels in delta.label_paths:
@@ -195,12 +200,10 @@ def resolve_affected(
         if view_id in answer_hits:
             scoped = edit.classify(view.pattern)
             if scoped is not None:
-                impacts.append(ViewImpact(view, "patch", *scoped))
+                impacts.append(ViewImpact(view, *scoped))
                 continue
         if _stores_any(fragments.fragments(view_id), anchors, deleted):
-            impacts.append(
-                ViewImpact(view, "patch", "fragment-content-overlap")
-            )
+            impacts.append(ViewImpact(view, "fragment-content-overlap"))
         else:
             untouched.append(view_id)
     affected = AffectedViews(tuple(impacts), tuple(untouched))

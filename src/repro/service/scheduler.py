@@ -110,8 +110,9 @@ class DeadlineExceededError(ReproError):
 
 def _copy_outcome(outcome: AnswerOutcome) -> AnswerOutcome:
     """Per-waiter copy of a fanned-out outcome.  Mutable containers
-    (``codes``, ``candidates``, ``stage_seconds``) are copied; the
-    immutable-in-practice intermediate artifacts are shared."""
+    (``codes``, ``stage_seconds``) are copied; the immutable
+    ``candidates`` tuple and the read-only intermediate artifacts are
+    shared."""
     return AnswerOutcome(
         codes=list(outcome.codes),
         strategy=outcome.strategy,
@@ -120,7 +121,7 @@ def _copy_outcome(outcome: AnswerOutcome) -> AnswerOutcome:
         filter_result=outcome.filter_result,
         lookup_seconds=outcome.lookup_seconds,
         total_seconds=outcome.total_seconds,
-        candidates=list(outcome.candidates),
+        candidates=outcome.candidates,
         plan_cache_hit=outcome.plan_cache_hit,
         stage_seconds=dict(outcome.stage_seconds),
         epoch_seq=outcome.epoch_seq,

@@ -137,12 +137,12 @@ def test_selection_covers_requires_delta_provider():
 def test_vfilter_sound_flags_dropped_usable_view():
     pattern = parse_xpath("//a/b")
     view = View.from_xpath("v", "//a/b")
-    empty = FilterResult(candidates=[])
+    empty = FilterResult(candidates=())
     with pytest.raises(ContractViolation, match="dropped view"):
         contracts.check_vfilter_sound(pattern, empty, [view], "t")
     # Listing the view as a candidate satisfies the lemma.
     contracts.check_vfilter_sound(
-        pattern, FilterResult(candidates=["v"]), [view], "t"
+        pattern, FilterResult(candidates=("v",)), [view], "t"
     )
 
 
@@ -150,7 +150,7 @@ def test_vfilter_sound_allows_dropping_unusable_view():
     pattern = parse_xpath("//a/b")
     unrelated = View.from_xpath("v", "//x/y")
     contracts.check_vfilter_sound(
-        pattern, FilterResult(candidates=[]), [unrelated], "t"
+        pattern, FilterResult(candidates=()), [unrelated], "t"
     )
 
 

@@ -8,13 +8,14 @@ Covers the pieces the coarse maintenance tests don't:
   soundness property (a view resolved *untouched* really keeps its
   exact answer set across the edit);
 * patcher byte-identity — patched fragment payloads equal a fresh
-  re-materialization byte for byte, and the report proves the scoped
-  *patch* path (not a hidden rebuild) produced them;
+  re-materialization byte for byte, and the report's reasons name the
+  scoped verdict that produced them;
 * re-encoded fragments — an edit encodes each live subtree once into
   one shared, code-stamped :class:`Fragment`, detached from the live
   tree, that reads use without decoding or re-stamping it;
-* failed edits — an error after the tree changed evicts the affected
-  views, whose fragments still hold the pre-edit document;
+* failed edits — an error after the tree changed (a schema-violating
+  insert's re-encode included) evicts the affected views, whose
+  fragments still hold the pre-edit document;
 * plan-cache upkeep — one counted invalidation per edit (the old
   double-``_invalidate_plans`` edit path is gone), plans over untouched
   views stay warm, plans over affected views are kept, spliced or
@@ -26,8 +27,9 @@ Covers the pieces the coarse maintenance tests don't:
 * no whole-document re-evaluation: path and branching views shaped
   like the repository benchmark's are maintained by scoped evaluation
   only;
-* a hypothesis property: random edit sequences keep every materialized
-  view byte-identical to ground truth (XMVR_CHECK=1 makes the editor
+* a hypothesis property: random edit sequences, ending with a
+  schema-violating insert, keep every materialized view byte-identical
+  to ground truth (XMVR_CHECK=1 makes the editor
   self-check every maintained view on top of the explicit asserts
   here).
 """
@@ -106,13 +108,13 @@ def _stored_payloads(system: MaterializedViewSystem, view_id: str) -> list[bytes
     return [f.payload for f in system.fragments.fragments(view_id)]
 
 
-def _view_modes(report) -> dict[str, str]:
-    return {entry.view_id: entry.mode for entry in report.views}
+def _view_reasons(report) -> dict[str, str]:
+    return {entry.view_id: entry.reason for entry in report.views}
 
 
 def _forbid_whole_tree_evaluate(monkeypatch) -> list[int]:
-    """Make the maintenance binding of ``evaluate`` (the one a rebuild
-    calls) fail on a whole-document call; returns the universe sizes
+    """Make the maintenance binding of ``evaluate`` (the one a root
+    scope calls without a universe) fail on a whole-document call; returns the universe sizes
     of the scoped calls it lets through."""
     universes: list[int] = []
     real_evaluate = maintenance.evaluate
@@ -156,7 +158,7 @@ class TestResolver:
         )
         (impact,) = affected.impacts
         assert impact.view.view_id == "VP"
-        assert impact.mode == "patch" and impact.splice
+        assert impact.splice
         assert impact.reason == "answers-in-subtree"
 
     def test_branching_pattern_splices_answers_in_subtree(self):
@@ -171,7 +173,7 @@ class TestResolver:
             delta, epoch.vfilter, system.fragments, list(epoch.materialized)
         )
         (impact,) = affected.impacts
-        assert impact.mode == "patch" and impact.splice
+        assert impact.splice
         assert impact.reason == "answers-in-subtree"
         assert impact.scope is child
 
@@ -185,7 +187,7 @@ class TestResolver:
             delta, epoch.vfilter, system.fragments, list(epoch.materialized)
         )
         (impact,) = affected.impacts
-        assert impact.mode == "patch" and impact.splice
+        assert impact.splice
         assert impact.reason == "predicate-flip"
         assert impact.scope is parent
 
@@ -218,7 +220,7 @@ class TestResolver:
         # t and nothing flips, so the verdict is the content-only
         # patch: the patcher's overlap rule re-encodes the grown
         # fragment without evaluating the view.
-        assert impact.mode == "patch" and not impact.splice
+        assert not impact.splice
         assert impact.reason == "fragment-content-overlap"
 
     @pytest.mark.parametrize("seed", range(8))
@@ -267,7 +269,7 @@ class TestPatcher:
         system = _system({"VP": "//s/p"})
         editor = DocumentEditor(system)
         report = editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
-        assert _view_modes(report) == {"VP": "patched"}
+        assert _view_reasons(report) == {"VP": "answers-in-subtree"}
         (view,) = system.materialized_views()
         assert _stored_payloads(system, "VP") == _expected_payloads(system, view)
 
@@ -276,7 +278,7 @@ class TestPatcher:
         editor = DocumentEditor(system)
         victim = system.direct_codes("//s/p")[0]
         report = editor.delete_subtree(victim)
-        assert _view_modes(report) == {"VP": "patched"}
+        assert _view_reasons(report) == {"VP": "fragment-content-overlap"}
         (view,) = system.materialized_views()
         payloads = _stored_payloads(system, "VP")
         assert payloads == _expected_payloads(system, view)
@@ -291,10 +293,7 @@ class TestPatcher:
         answer = system.direct_codes("//s/f")[0]
         report = editor.insert_subtree(answer, XMLNode("i"))
         assert not report.full_reencode
-        assert _view_modes(report) == {"VF": "patched"}
-        assert [entry.reason for entry in report.views] == [
-            "fragment-content-overlap"
-        ]
+        assert _view_reasons(report) == {"VF": "fragment-content-overlap"}
         (view,) = system.materialized_views()
         assert _stored_payloads(system, "VF") == _expected_payloads(system, view)
         # The grown fragment is visible to compensating evaluation.
@@ -320,7 +319,7 @@ class TestPatcher:
         before = _stored_payloads(system, "VT")
         report = editor.insert_subtree(_first_section(system).dewey, XMLNode("p"))
         assert not report.full_reencode
-        assert _view_modes(report) == {"VP": "patched"}
+        assert _view_reasons(report) == {"VP": "answers-in-subtree"}
         assert "VT" in report.skipped_views
         assert _stored_payloads(system, "VT") == before
 
@@ -369,7 +368,10 @@ class TestReencodedFragments:
         editor = DocumentEditor(system)
         section = _first_section(system)
         report = editor.insert_subtree(section.dewey, XMLNode("t"))
-        assert _view_modes(report) == {"VS": "patched", "WS": "patched"}
+        assert _view_reasons(report) == {
+            "VS": "fragment-content-overlap",
+            "WS": "fragment-content-overlap",
+        }
         return system, editor, section
 
     def test_views_storing_a_code_share_one_decoded_fragment(self):
@@ -451,7 +453,7 @@ class TestScopedInvalidation:
         # The cached result the first answer returned is never patched
         # in place.
         assert spliced.rewrite_result is not before.rewrite_result
-        assert before.rewrite_result.codes == before.codes
+        assert list(before.rewrite_result.codes) == before.codes
 
     def test_edit_affecting_nothing_retains_every_filtered_plan(self):
         system = _system({"VT": "//b/t", "VP": "//s/p"})
@@ -601,6 +603,34 @@ class TestFailedEdits:
             3 if operation == "insert" else 1
         )
         self._assert_affected_view_evicted(system)
+
+    def test_failure_after_full_reencode_evicts_every_view(self, monkeypatch):
+        system = _system({"VT": "//b/t", "VP": "//s/p"})
+        editor = DocumentEditor(system)
+        system.answer("//s/p")
+        real_drop = DocumentEditor._drop_base_indexes
+        calls: list[int] = []
+
+        def broken_once(self):
+            # The first call follows the re-encode; the failure
+            # handler's own call goes through.
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("index reset failed")
+            real_drop(self)
+
+        monkeypatch.setattr(DocumentEditor, "_drop_base_indexes", broken_once)
+        with pytest.raises(RuntimeError, match="index reset failed"):
+            # zzz is outside the schema: the whole document is re-encoded.
+            editor.insert_subtree(
+                system.document.tree.root.dewey,
+                build_tree(("s", ["p", "zzz"])).root,
+            )
+        assert len(system.direct_codes("//s/p")) == 3
+        assert system.materialized_views() == []
+        assert len(system.current_epoch().plan_cache) == 0
+        outcome = system.try_answer("//s/p")
+        assert outcome is None or outcome.codes == system.direct_codes("//s/p")
 
 
 # ----------------------------------------------------------------------
@@ -767,7 +797,7 @@ def test_path_view_edits_never_reevaluate_over_the_whole_tree(monkeypatch):
     for anchor in anchors[:5]:
         report = editor.insert_subtree(anchor, XMLNode("name", text="edit"))
         assert not report.full_reencode
-        assert report.views and all(v.mode == "patched" for v in report.views)
+        assert report.views
         assert "Pcat" in report.affected_views
     # Splices evaluate over the edited subtree and its ancestors only.
     assert universes and max(universes) < document_size // 10
@@ -807,7 +837,6 @@ def test_branching_view_edits_never_reevaluate_over_the_whole_tree(monkeypatch):
         insert = editor.insert_subtree(parent.dewey, subtree)
         for report in (delete, insert):
             assert not report.full_reencode
-            assert all(v.mode == "patched" for v in report.views), report.views
             maintained |= set(report.affected_views)
     # The root-predicate views store the document's top-level sections,
     # so every edit re-encodes one of their fragments in place.
@@ -831,9 +860,7 @@ def test_predicate_flip_splices_under_the_flipped_ancestor(monkeypatch):
 
     report = editor.delete_subtree(date.dewey)
     (entry,) = report.views
-    assert (entry.mode, entry.reason, entry.splice) == (
-        "patched", "predicate-flip", True
-    )
+    assert (entry.reason, entry.splice) == ("predicate-flip", True)
     # One scoped evaluation: the flipped auction's subtree plus its
     # ancestors, not the document.
     assert universes == [auction.subtree_size() + auction.depth()]
@@ -908,7 +935,7 @@ def _assert_cached_plans_fresh(system: MaterializedViewSystem) -> None:
     for (query, strategy), entry in list(cache._entries.items()):
         if entry.result is None:
             continue
-        codes = entry.result.codes
+        codes = list(entry.result.codes)
         assert codes == system.direct_codes(entry.pattern), (query, strategy)
         fresh = cold.answer(entry.pattern, strategy)
         assert fresh.codes == codes, (query, strategy)
@@ -940,13 +967,19 @@ def test_random_edit_sequences_keep_views_byte_identical(seed):
         )
     editor = DocumentEditor(system)
     queries = [random_pattern(rng, max_nodes=4) for _ in range(3)]
-    for _ in range(3):
+    for step in range(4):
         warmed = queries + [view.pattern for view in system.materialized_views()]
         for pattern in warmed:
             for strategy in ("HV", "MN"):
                 system.try_answer(pattern, strategy)
         nodes = list(system.document.tree.iter_nodes())
-        if rng.random() < 0.6 or len(nodes) < 4:
+        if step == 3:
+            # A label no random tree holds is outside the schema: the
+            # document is re-encoded and every view is spliced over the
+            # root's range.
+            parent = rng.choice(nodes)
+            assert editor.insert_subtree(parent.dewey, XMLNode("z")).full_reencode
+        elif rng.random() < 0.6 or len(nodes) < 4:
             parent = rng.choice(nodes)
             child = XMLNode(rng.choice("abcd"))
             if rng.random() < 0.4:

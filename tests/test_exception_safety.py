@@ -96,6 +96,8 @@ class TestInsertFailure:
             # "z" is schema-violating, forcing the full-reencode path.
             editor.insert_subtree(first_s.dewey, XMLNode("z"))
         assert len(system._plan_cache) == 0
+        # Every view's fragments hold the pre-edit document.
+        assert not system._materialized
 
 
 class TestRefreshFailure:
@@ -165,28 +167,51 @@ class TestRefreshFailure:
         assert len(system._plan_cache) == 0
 
     def test_failed_rebuild_evicts_the_view(self, monkeypatch):
-        # A schema-violating insert rebuilds every view over the whole
-        # document: the failure is injected at the rebuild's store
-        # write.
+        # A schema-violating insert re-encodes the document and splices
+        # every view over the root's range: the failure is injected at
+        # the splice's store write of the last view, after V1 was
+        # patched.
         system = _book_system()
         editor = DocumentEditor(system)
         _warm(system)
-        original = system.fragments.materialize
+        original = system.fragments.replace
 
-        def boom(view_id, entries):
-            if view_id == "V1":
+        def boom(view_id, fragments, total):
+            if view_id == "V2":
                 raise RuntimeError("store failed")
-            return original(view_id, entries)
+            return original(view_id, fragments, total)
 
-        monkeypatch.setattr(system.fragments, "materialize", boom)
+        monkeypatch.setattr(system.fragments, "replace", boom)
         first_s = system.document.tree.root.children[1]
         with pytest.raises(RuntimeError):
             editor.insert_subtree(first_s.dewey, XMLNode("z"))
-        assert "V1" not in [v.view_id for v in system._materialized]
+        assert [v.view_id for v in system._materialized] == ["V1"]
         assert len(system._plan_cache) == 0
         monkeypatch.undo()
-        outcome = system.answer("//s[f//i]/p")
-        assert outcome.codes == system.direct_codes("//s[f//i]/p")
+        outcome = system.answer("//s[t]/p")
+        assert outcome.codes == system.direct_codes("//s[t]/p")
+
+    def test_failed_patch_evicts_the_views_not_yet_patched(
+        self, monkeypatch
+    ):
+        # Both views store the deleted p; a failure patching V1 leaves
+        # V2 unpatched, so V2 must leave the pool with it.
+        system = _book_system()
+        system.register_view("V3", "//s/p")
+        editor = DocumentEditor(system)
+        original = system.fragments.replace
+
+        def boom(view_id, fragments, total):
+            if view_id == "V1":
+                raise RuntimeError("store failed")
+            return original(view_id, fragments, total)
+
+        monkeypatch.setattr(system.fragments, "replace", boom)
+        with pytest.raises(RuntimeError):
+            editor.delete_subtree(system.direct_codes("//s/p")[0])
+        assert [v.view_id for v in system._materialized] == ["V2"]
+        outcome = system.try_answer("//s/p")
+        assert outcome is None or outcome.codes == system.direct_codes("//s/p")
 
     def test_capped_rebuild_evicts_the_view(self, monkeypatch):
         system = _book_system()
@@ -194,8 +219,8 @@ class TestRefreshFailure:
         _warm(system)
         monkeypatch.setattr(
             system.fragments,
-            "materialize",
-            lambda view_id, entries: False,
+            "replace",
+            lambda view_id, fragments, total: False,
         )
         first_s = system.document.tree.root.children[1]
         report = editor.insert_subtree(first_s.dewey, XMLNode("z"))

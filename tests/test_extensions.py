@@ -112,7 +112,7 @@ class TestCostBasedSelection:
             system.document.schema,
             system.document.fst,
         )
-        assert result.codes == system.direct_codes(query)
+        assert list(result.codes) == system.direct_codes(query)
 
 
 class TestMaximalContainedRewriting:
@@ -201,7 +201,7 @@ class TestAttributePruning:
             View.from_xpath("constrained", "//a[@id='1']/b"),
         ])
         result = vfilter.filter(parse_xpath("//a/b"))
-        assert result.candidates == ["plain"]
+        assert result.candidates == ("plain",)
 
     def test_keeps_views_with_matching_constraints(self):
         vfilter = VFilter(attribute_pruning=True)
@@ -209,7 +209,7 @@ class TestAttributePruning:
             View.from_xpath("constrained", "//a[@id='1']/b"),
         ])
         result = vfilter.filter(parse_xpath("//a[@id='1'][c]/b"))
-        assert result.candidates == ["constrained"]
+        assert result.candidates == ("constrained",)
 
     def test_disabled_keeps_everything_structural(self):
         vfilter = VFilter(attribute_pruning=False)
@@ -217,7 +217,7 @@ class TestAttributePruning:
             View.from_xpath("constrained", "//a[@id='1']/b"),
         ])
         result = vfilter.filter(parse_xpath("//a/b"))
-        assert result.candidates == ["constrained"]
+        assert result.candidates == ("constrained",)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pruning_soundness_random(self, seed):

@@ -142,4 +142,4 @@ def test_regression_cases(view_text, probe_text, expected):
     vfilter = VFilter()
     vfilter.add_view(View.from_xpath("V", view_text))
     result = vfilter.filter(_parse(probe_text))
-    assert (result.candidates == ["V"]) is expected
+    assert (result.candidates == ("V",)) is expected

@@ -121,7 +121,7 @@ class TestVFilterAlgorithm1:
         vfilter = VFilter()
         vfilter.add_views(self._views())
         result = vfilter.filter(parse_xpath("s[f//i][t]/p"))
-        assert result.candidates == ["V1", "V2", "V4"]
+        assert result.candidates == ("V1", "V2", "V4")
 
     def test_lists_sorted_by_length_descending(self):
         vfilter = VFilter()
@@ -148,7 +148,7 @@ class TestVFilterAlgorithm1:
             ]
         )
         result = vfilter.filter(parse_xpath("s[t]/p"))
-        assert result.candidates == ["keep"]
+        assert result.candidates == ("keep",)
         for entries in result.lists.values():
             assert all(view_id != "drop" for view_id, _ in entries)
 
@@ -159,7 +159,7 @@ class TestVFilterAlgorithm1:
         vfilter.add_views([View.from_xpath("W", "a[b]/c")])  # D = {a/b, a/c}
         # both query paths (a/b twice) match only view path a/b
         result = vfilter.filter(parse_xpath("a[b]/b"))
-        assert result.candidates == []
+        assert result.candidates == ()
 
     def test_duplicate_view_id_rejected(self):
         vfilter = VFilter()
@@ -171,10 +171,10 @@ class TestVFilterAlgorithm1:
         """Example 3.2/3.3: s/*//t ≡ s//*/t must be accepted."""
         vfilter = VFilter()
         vfilter.add_views([View.from_xpath("W", "//s//*/t")])
-        assert vfilter.filter(parse_xpath("//s/*//t")).candidates == ["W"]
+        assert vfilter.filter(parse_xpath("//s/*//t")).candidates == ("W",)
         vfilter2 = VFilter()
         vfilter2.add_views([View.from_xpath("W", "//s/*//t")])
-        assert vfilter2.filter(parse_xpath("//s//*/t")).candidates == ["W"]
+        assert vfilter2.filter(parse_xpath("//s//*/t")).candidates == ("W",)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_no_false_negatives_random(self, seed):

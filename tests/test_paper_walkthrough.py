@@ -113,7 +113,7 @@ class TestSectionIII:
         assert normalized.to_xpath() == "//s//*/t"
         vfilter = VFilter()
         vfilter.add_view(View.from_xpath("V3", "s//*/t"))
-        assert vfilter.filter(parse_xpath("//s/*//t")).candidates == ["V3"]
+        assert vfilter.filter(parse_xpath("//s/*//t")).candidates == ("V3",)
 
     def test_example_3_4_filtering(self):
         vfilter = VFilter()
@@ -121,7 +121,7 @@ class TestSectionIII:
             vfilter.add_view(View.from_xpath(vid, expr))
         result = vfilter.filter(parse_xpath("s[f//i][t]/p"))
         # V3 is the only view filtered out.
-        assert result.candidates == ["V1", "V2", "V4"]
+        assert result.candidates == ("V1", "V2", "V4")
         # the sorted lists of Example 3.4 (shape): s/t -> {V1}, s/p -> all
         by_leaf = {p.leaf_label(): entries for p, entries in result.lists.items()}
         assert [vid for vid, _ in by_leaf["t"]] == ["V1"]

@@ -110,18 +110,32 @@ def test_warm_codes_are_independent_copies():
 
 
 def test_answer_candidates_cannot_change_the_cached_plan():
-    """``candidates`` is the plan's own tuple, built once: shared by
-    every hit without a copy, and no caller can edit it."""
+    """``candidates`` and the rewrite's ``codes`` are the plan's own
+    tuples: shared by every hit without a copy, and no caller can edit
+    them, through the outcome or through its intermediate results."""
     system = _book_system()
     cold = system.answer("s[f//i][t]/p")
+    codes = cold.rewrite_result.codes
     with pytest.raises(AttributeError):
         cold.candidates.append("BOGUS")
+    with pytest.raises(AttributeError):
+        cold.filter_result.candidates.append("BOGUS")
+    with pytest.raises(AttributeError):
+        cold.rewrite_result.codes.append((9, 9))
     warm = system.answer("s[f//i][t]/p")
+    with pytest.raises(AttributeError):
+        warm.filter_result.candidates.append("BOGUS")
+    with pytest.raises(AttributeError):
+        warm.rewrite_result.codes.append((9, 9))
     again = system.answer("s[f//i][t]/p")
-    assert warm.plan_cache_hit
-    assert warm.candidates == tuple(warm.filter_result.candidates)
-    assert "BOGUS" not in warm.candidates
+    assert warm.plan_cache_hit and again.plan_cache_hit
+    assert warm.candidates is warm.filter_result.candidates
+    assert "BOGUS" not in again.candidates
+    assert "BOGUS" not in again.filter_result.candidates
     assert again.candidates is warm.candidates is cold.candidates
+    assert again.rewrite_result.codes == codes
+    assert (9, 9) not in again.codes
+    assert again.codes == system.direct_codes("s[f//i][t]/p")
 
 
 def test_equivalent_spellings_share_a_plan():
