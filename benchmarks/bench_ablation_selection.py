@@ -57,7 +57,6 @@ def _answer(system, selector, pattern):
         selection,
         pattern,
         system.fragments,
-        system.document.schema,
         system.document.fst,
     )
 

@@ -26,7 +26,7 @@ def test_fig11_vfilter_size(benchmark, view_sets, count):
         vfilter = VFilter()
         vfilter.add_views(views)
         store = KVStore()
-        written = vfilter.save(store, include_definitions=False)
+        written = vfilter.save(store)
         return vfilter, written
 
     vfilter, written = benchmark(build_and_store)

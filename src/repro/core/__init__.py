@@ -14,7 +14,7 @@ from .leaf_cover import (
 from .plancache import PlanCache, PlanEntry
 from .nfa import AcceptEntry, PathNFA
 from .refine import RefinedUnit, compensating_pattern, refine_unit
-from .rewrite import RewriteResult, reencode_fragment, rewrite
+from .rewrite import RewriteResult, rewrite
 from .contained import ContainedResult, maximal_contained_rewriting
 from .explain import QueryExplanation, ViewExplanation, explain_query
 from .selection import (
@@ -52,7 +52,6 @@ __all__ = [
     "join_units",
     "leaf_cover_labels",
     "obligations_of",
-    "reencode_fragment",
     "refine_unit",
     "rewrite",
     "ContainedResult",

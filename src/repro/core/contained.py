@@ -25,16 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..matching.evaluate import evaluate_relative
 from ..matching.homomorphism import feasible_pairs
 from ..storage.fragments import FragmentStore
 from ..xmltree.dewey import DeweyCode
 from ..xmltree.fst import FiniteStateTransducer
-from ..xmltree.schema import DocumentSchema
 from ..xpath.pattern import TreePattern
 from .leaf_cover import coverage_units, covers_query
 from .refine import refine_unit
-from .rewrite import reencode_fragment
+from .rewrite import extract_answers
 from .twig_join import join_units
 from .view import View
 
@@ -62,12 +60,9 @@ def maximal_contained_rewriting(
     views: list[View],
     query: TreePattern,
     fragment_store: FragmentStore,
-    schema: DocumentSchema,
-    fst: FiniteStateTransducer | None = None,
+    fst: FiniteStateTransducer,
 ) -> ContainedResult:
     """Union every certain answer obtainable from ``views``."""
-    if fst is None:
-        fst = FiniteStateTransducer(schema)
     codes: set[DeweyCode] = set()
     contributing: list[str] = []
     is_exact = False
@@ -94,17 +89,11 @@ def maximal_contained_rewriting(
                 exact_unit, query, fragment_store.fragments(view.view_id)
             )
             surviving = join_units([refined], query, fst, refined)
-            by_packed = {f.packed: f for f in refined.fragments}
-            for packed_root in surviving:
-                fragment = by_packed[packed_root]
-                root = fragment.root
-                if root.dewey != fragment.code:
-                    reencode_fragment(root, fragment.code, schema)
-                for answer in evaluate_relative(
-                    refined.pattern, root, fragment.subtree_index()
-                ):
-                    assert answer.dewey is not None
-                    codes.add(answer.dewey)
+            for answer in extract_answers(
+                refined.pattern, refined.fragments, surviving
+            ):
+                assert answer.dewey is not None
+                codes.add(answer.dewey)
             contributing.append(view.view_id)
             is_exact = True
             continue

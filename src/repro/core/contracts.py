@@ -218,7 +218,6 @@ def check_plan_consistency(
         fresh_selection,
         entry.pattern,
         system.fragments,
-        system.document.schema,
         system.document.fst,
     )
     cached_result = entry.result
@@ -254,8 +253,7 @@ def check_patched_fragments(
 
     Every fragment whose tree is already built (decoded by a read, or
     handed over by the patcher as a copy of the live subtree) must
-    also equal a decode of its payload, re-stamped with the codes
-    unless the tree is an unstamped decode: labels, text, attributes,
+    also equal a decode of its payload: labels, text, attributes,
     child order, ``dewey`` and ``dewey_packed``, with a parentless
     root.  The in-memory copy is what reads use, so it must not drift
     from the bytes.
@@ -307,15 +305,11 @@ def check_patched_fragments(
 def _tree_drift(
     built: "XMLNode", payload: bytes, schema: "DocumentSchema"
 ) -> str | None:
-    """How ``built`` differs from the decode of ``payload`` (re-stamped
-    with its codes unless ``built`` is an unstamped decode), or None."""
+    """How ``built`` differs from the decode of ``payload``, or None."""
     from ..storage.serialize import decode_dewey, decode_fragment
-    from .rewrite import reencode_fragment
 
     code, offset = decode_dewey(payload, 0)
-    decoded, _ = decode_fragment(payload, offset)
-    if built.dewey is not None:
-        reencode_fragment(decoded, code, schema)
+    decoded, _ = decode_fragment(payload, offset, code, schema)
     if built.parent is not None:
         return "its root has a parent"
     stack = [(built, decoded)]

@@ -10,32 +10,27 @@ Pipeline for an answerable query with a selected unit set:
 3. **Extract** the answers by evaluating the Δ-unit's compensating
    pattern (answer node marked) inside each surviving fragment.
 
-Answers are reported as extended Dewey codes.  Fragments store no
-per-node codes except where a delete left a gap, but the extended Dewey
-assignment is deterministic given the schema and sibling order — both
-preserved by fragment serialization — so :func:`reencode_fragment`
-reconstructs every descendant's code from the fragment root's code and
-those stored components.  The end-to-end result is *provably* the same
-node set as evaluating the query on the base document, and the test
-suite checks exactly that equality.
+Answers are reported as extended Dewey codes, read off the fragment
+trees: every tree a :class:`~repro.storage.fragments.Fragment` hands
+out already carries the document's codes (the decode rebuilds them
+from the fragment root's code and the schema), so extraction only
+reads.  The end-to-end result is *provably* the same node set as
+evaluating the query on the base document, and the test suite checks
+exactly that equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import RewritingError
 from ..obs import SYSTEM_CLOCK, Clock, current_trace
 from ..matching.evaluate import evaluate_relative
 from ..storage.fragments import Fragment, FragmentStore
-from ..xmltree.dewey import (
-    DeweyCode,
-    assign_child_component,
-    pack_code,
-    pack_component,
-)
+from ..xmltree.dewey import DeweyCode, PackedCode
 from ..xmltree.fst import FiniteStateTransducer
-from ..xmltree.schema import DocumentSchema
 from ..xmltree.tree import XMLNode
 from ..xpath.pattern import TreePattern
 from .leaf_cover import CoverageMemo
@@ -43,66 +38,53 @@ from .refine import RefinedUnit, compensation_plan, refine_unit
 from .selection import Selection
 from .twig_join import join_units
 
-__all__ = ["RewriteResult", "reencode_fragment", "rewrite"]
+__all__ = ["RewriteResult", "extract_answers", "rewrite"]
+
+#: The answers of an empty result, shared.
+_NO_ANSWERS: Mapping[DeweyCode, XMLNode] = MappingProxyType({})
 
 
 @dataclass(slots=True)
 class RewriteResult:
     """Outcome of a multiple-view rewriting.
 
-    ``codes`` is the answer set (extended Dewey codes, sorted), a tuple
-    because a cached plan hands it to every caller; ``answers`` maps
-    each code to the answer node *inside its fragment* (a subtree copy,
-    usable without base-data access) and is read-only by contract for
-    the same reason.  The remaining fields expose what happened for
-    inspection and benchmarks.
+    ``codes`` is the answer set (extended Dewey codes, sorted) and
+    ``answers`` maps each code to the answer node *inside its fragment*
+    (a subtree copy, usable without base-data access).  A cached plan
+    hands both to every caller, so they are a tuple and a read-only
+    mapping.  The remaining fields expose what happened for inspection
+    and benchmarks.
     """
 
     codes: tuple[DeweyCode, ...]
-    answers: dict[DeweyCode, XMLNode] = field(default_factory=dict)
+    answers: Mapping[DeweyCode, XMLNode] = field(
+        default_factory=lambda: _NO_ANSWERS
+    )
     refined: list[RefinedUnit] = field(default_factory=list)
     extraction_view: str = ""
     joined_roots: int = 0
 
 
-def reencode_fragment(
-    root: XMLNode, root_code: DeweyCode, schema: DocumentSchema
-) -> None:
-    """Stamp extended Dewey codes onto a deserialized fragment.
-
-    Extended Dewey assignment is deterministic (smallest admissible
-    component per sibling, in sibling order) and fragments preserve
-    sibling order; where a delete left a gap the payload stored the
-    component instead, and the decoder left it as the node's
-    one-component ``dewey``.  The reconstructed codes therefore equal
-    the document's codes.
-    """
-    root.dewey = root_code
-    root.dewey_packed = pack_code(root_code)
-    stack = [root]
-    while stack:
-        parent = stack.pop()
-        previous: int | None = None
-        for child in parent.children:
-            if child.dewey is not None:
-                component = child.dewey[-1]
-            else:
-                component = assign_child_component(
-                    schema, parent.label, child.label, previous
-                )
-            previous = component
-            assert parent.dewey is not None
-            assert parent.dewey_packed is not None
-            child.dewey = parent.dewey + (component,)
-            child.dewey_packed = parent.dewey_packed + pack_component(component)
-            stack.append(child)
+def extract_answers(
+    pattern: TreePattern,
+    fragments: Iterable[Fragment],
+    surviving: Iterable[PackedCode],
+) -> Iterator[XMLNode]:
+    """Evaluate ``pattern`` (its answer node marked) inside each of
+    ``fragments`` whose packed root code is in ``surviving``, in
+    ``surviving`` order; every answer carries its document code."""
+    by_packed = {fragment.packed: fragment for fragment in fragments}
+    for packed_root in surviving:
+        fragment = by_packed[packed_root]
+        yield from evaluate_relative(
+            pattern, fragment.root, fragment.subtree_index()
+        )
 
 
 def rewrite(
     selection: Selection,
     query: TreePattern,
     fragment_store: FragmentStore,
-    schema: DocumentSchema,
     fst: FiniteStateTransducer,
     memo: CoverageMemo | None = None,
     query_key: str | None = None,
@@ -186,32 +168,24 @@ def rewrite(
         stage_acc["join"] += monotonic() - join_started
         extract_started = monotonic()
 
-    by_packed = {
-        fragment.packed: fragment for fragment in extraction.fragments
-    }
     # Document-order sort on packed keys (flat byte comparison); the
     # packed form is unique per code, so the tuple is never compared.
     ordered: set[tuple[bytes, DeweyCode]] = set()
     answers: dict[DeweyCode, XMLNode] = {}
     with trace.span("extract") as extract_span:
-        for packed_root in surviving:
-            fragment = by_packed[packed_root]
-            root = fragment.root
-            if root.dewey != fragment.code:
-                reencode_fragment(root, fragment.code, schema)
-            for answer in evaluate_relative(
-                extraction.pattern, root, fragment.subtree_index()
-            ):
-                assert answer.dewey is not None
-                assert answer.dewey_packed is not None
-                ordered.add((answer.dewey_packed, answer.dewey))
-                answers[answer.dewey] = answer
+        for answer in extract_answers(
+            extraction.pattern, extraction.fragments, surviving
+        ):
+            assert answer.dewey is not None
+            assert answer.dewey_packed is not None
+            ordered.add((answer.dewey_packed, answer.dewey))
+            answers[answer.dewey] = answer
         extract_span.attributes["answers"] = len(answers)
     if stage_acc is not None:
         stage_acc["extract"] += monotonic() - extract_started
     return RewriteResult(
         tuple([code for _packed, code in sorted(ordered)]),
-        answers=answers,
+        answers=MappingProxyType(answers),
         refined=refined_units,
         extraction_view=extraction.unit.view.view_id,
         joined_roots=len(surviving),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..errors import ViewNotAnswerableError
 from ..xpath.decompose import decompose
@@ -207,7 +207,7 @@ def select_heuristic(
     pending.sort(key=lambda ob: (path_for(ob).to_xpath(), ob.label, ob.kind))
 
     def try_views(
-        entries: list[tuple[str, int]], target: Obligation | None
+        entries: Sequence[tuple[str, int]], target: Obligation | None
     ) -> bool:
         """Walk a LIST(P_i); select the first view covering ``target``
         (or providing Δ when ``target`` is None)."""
@@ -241,7 +241,7 @@ def select_heuristic(
         if not uncovered:
             break
         target = uncovered[0]
-        entries = filter_result.lists.get(path_for(target), [])
+        entries = filter_result.lists.get(path_for(target), ())
         if not try_views(entries, target):
             # Attribute obligations (our Section-V extension) may be
             # covered by a view reached through a *different* query
@@ -263,7 +263,7 @@ def select_heuristic(
     # Ensure a Δ provider, preferring the answer node's own path list.
     if not any(info.has_delta for info in selected.values()):
         answer_path = _leaf_path_for_answer(query)
-        entries = filter_result.lists.get(answer_path, [])
+        entries = filter_result.lists.get(answer_path, ())
         if not try_views(entries, None):
             # Fall back to any candidate list.
             if not any(

@@ -172,7 +172,7 @@ class MaterializedViewSystem:
         self.document = document
         #: state: soft(derived-from=document?; rebuild=register_views)
         self.fragments = FragmentStore(
-            store, cap_bytes=fragment_cap, document=document
+            document, store, cap_bytes=fragment_cap
         )
         self._plan_cache_size = plan_cache_size  #: state: hard
         #: state: soft(derived-from=document?; rebuild=intern)
@@ -838,7 +838,6 @@ class MaterializedViewSystem:
                 selection,
                 pattern,
                 self.fragments,
-                self.document.schema,
                 self.document.fst,
                 memo=self._memo,
                 query_key=query_key,
@@ -1041,7 +1040,6 @@ class MaterializedViewSystem:
             list(self._epoch.materialized),
             pattern,
             self.fragments,
-            self.document.schema,
             self.document.fst,
         )
 

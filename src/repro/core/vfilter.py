@@ -25,6 +25,8 @@ automaton built once over the whole set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from ..obs import current_trace
 from ..storage.kvstore import KVStore
@@ -43,22 +45,34 @@ __all__ = ["LayeredVFilter", "VFilter", "FilterResult"]
 #: instead of quadratic).
 _REBUILD_DELTAS = 24
 
+#: One query path's ``LIST(P_i)``: ``(view_id, length)`` pairs.
+PathList = tuple[tuple[str, int], ...]
+
+#: The lists of a result built without any, shared.
+_NO_LISTS: Mapping[PathPattern, PathList] = MappingProxyType({})
+
+
+def _list_order(entry: tuple[str, int]) -> tuple[int, str]:
+    """``LIST(P_i)`` order: length descending, ties by view id."""
+    return -entry[1], entry[0]
+
 
 @dataclass(slots=True)
 class FilterResult:
     """Output of Algorithm 1 for one query.
 
-    ``candidates`` preserves view registration order; it is a tuple,
-    so a cached plan hands it out without a copy.  ``lists`` maps each
-    query path pattern to its ``LIST(P_i)``: pairs ``(view_id, length)``
-    sorted by length descending (ties by view id for determinism),
-    already restricted to candidate views — the paper's lines 22-26.
-    ``lists`` is read-only by contract: a cached plan shares it with
-    every caller.
+    ``candidates`` preserves view registration order.  ``lists`` maps
+    each query path pattern to its ``LIST(P_i)``: pairs ``(view_id,
+    length)`` sorted by length descending (ties by view id for
+    determinism), already restricted to candidate views — the paper's
+    lines 22-26.  A cached plan hands both to every caller without a
+    copy, so they are a tuple and a read-only mapping of tuples.
     """
 
     candidates: tuple[str, ...]
-    lists: dict[PathPattern, list[tuple[str, int]]] = field(default_factory=dict)
+    lists: Mapping[PathPattern, PathList] = field(
+        default_factory=lambda: _NO_LISTS
+    )
     query_paths: list[PathPattern] = field(default_factory=list)
 
 
@@ -255,16 +269,17 @@ class VFilter:
         )
 
         # Lines 22-26: drop filtered views from the sorted lists.
-        lists: dict[PathPattern, list[tuple[str, int]]] = {}
+        lists: dict[PathPattern, PathList] = {}
         for path, per_path in raw_lists.items():
-            entries = [
-                (view_id, length)
-                for view_id, length in per_path.items()
-                if view_id in candidate_set
-            ]
-            entries.sort(key=lambda item: (-item[1], item[0]))
-            lists[path] = entries
-        return FilterResult(candidates, lists, unique_paths)
+            lists[path] = tuple(sorted(
+                (
+                    (view_id, length)
+                    for view_id, length in per_path.items()
+                    if view_id in candidate_set
+                ),
+                key=_list_order,
+            ))
+        return FilterResult(candidates, MappingProxyType(lists), unique_paths)
 
     # ------------------------------------------------------------------
     # compiled transition table
@@ -298,24 +313,12 @@ class VFilter:
         """In-memory serialized size estimate of the automaton."""
         return self.nfa.stored_bytes()
 
-    def frozen(self) -> "LayeredVFilter":
-        """Wrap this filter as the base layer of an immutable
-        :class:`LayeredVFilter` (the caller promises not to call
-        :meth:`add_view` afterwards)."""
-        return LayeredVFilter(self)
-
-    def save(self, store: KVStore, include_definitions: bool = True) -> int:
+    def save(self, store: KVStore) -> int:
         """Persist the automaton into ``store`` (one record per state,
         as the paper stores VFILTER in Berkeley DB); returns the number
-        of bytes written — the Figure 11 database size.
-
-        View definitions (``v:`` records) are stored alongside the NFA
-        states (``s:`` records), so :meth:`load` reconstructs a fully
-        functional filter without re-deriving anything.  Pass
-        ``include_definitions=False`` to write (and count) only the
-        automaton — the quantity Figure 11 tracks; the catalog of view
-        strings grows trivially linearly and is not part of the paper's
-        size claim.
+        of bytes written — the Figure 11 database size.  View
+        definitions are not written: a reopened system rebuilds its
+        filter from the ones it stores itself.
         """
         total = 0
         for state_id in range(self.nfa.state_count):
@@ -343,98 +346,7 @@ class VFilter:
             value = b"".join(payload_parts)
             store.put(key, value)
             total += len(key) + len(value)
-        if not include_definitions:
-            return total
-        for order, view_id in enumerate(self._order):
-            key = b"v:" + encode_varint(order)
-            value = encode_text(view_id) + encode_text(
-                self._views[view_id].to_xpath()
-            )
-            store.put(key, value)
-            total += len(key) + len(value)
         return total
-
-    @classmethod
-    def load(cls, store: KVStore) -> "VFilter":
-        """Reconstruct a filter previously written by :meth:`save`.
-
-        NFA states are decoded directly (no re-insertion); view
-        definitions are re-parsed from their stored XPath.  Loop-state
-        bookkeeping used only during construction is not persisted, so a
-        loaded filter accepts further :meth:`add_view` calls at the cost
-        of slightly less prefix sharing for descendant steps.
-        """
-        from ..storage.serialize import decode_text, decode_varint
-        from .nfa import _State
-
-        vfilter = cls()
-        states: dict[int, _State] = {}
-        view_records: dict[int, tuple[str, str]] = {}
-        for key in store.keys():
-            if key.startswith(b"s:"):
-                state_id, _ = decode_varint(key, 2)
-                value = store.get(key)
-                assert value is not None
-                state = _State()
-                offset = 0
-                count, offset = decode_varint(value, offset)
-                for _ in range(count):
-                    label, offset = decode_text(value, offset)
-                    target, offset = decode_varint(value, offset)
-                    state.exact[label] = target
-                count, offset = decode_varint(value, offset)
-                for _ in range(count):
-                    label, offset = decode_text(value, offset)
-                    target, offset = decode_varint(value, offset)
-                    state.desc_exact[label] = target
-                star, offset = decode_varint(value, offset)
-                state.star = star - 1 if star else None
-                desc_star, offset = decode_varint(value, offset)
-                state.desc_star = desc_star - 1 if desc_star else None
-                chain, offset = decode_varint(value, offset)
-                state.chain = chain - 1 if chain else None
-                count, offset = decode_varint(value, offset)
-                for _ in range(count):
-                    target, offset = decode_varint(value, offset)
-                    state.any_to.append(target)
-                count, offset = decode_varint(value, offset)
-                for _ in range(count):
-                    view_id, offset = decode_text(value, offset)
-                    path_index, offset = decode_varint(value, offset)
-                    length, offset = decode_varint(value, offset)
-                    state.accepts.append(
-                        AcceptEntry(view_id, path_index, length)
-                    )
-                states[state_id] = state
-            elif key.startswith(b"v:"):
-                order, _ = decode_varint(key, 2)
-                value = store.get(key)
-                assert value is not None
-                view_id, offset = decode_text(value, 0)
-                expression, _ = decode_text(value, offset)
-                view_records[order] = (view_id, expression)
-
-        vfilter.nfa._states = [
-            states[state_id] for state_id in sorted(states)
-        ]
-        for order in sorted(view_records):
-            view_id, expression = view_records[order]
-            view = View.from_xpath(view_id, expression)
-            vfilter._views[view_id] = view
-            vfilter._order_index[view_id] = len(vfilter._order)
-            vfilter._order.append(view_id)
-            signature = view.constraint_signature()
-            if signature:
-                vfilter._constrained[view_id] = signature
-            for index, path in enumerate(view.paths):
-                if all(step.is_wildcard for step in path.steps):
-                    vfilter._wildcard_entries.append(
-                        AcceptEntry(view_id, index, path.length)
-                    )
-                    vfilter._wc_max_length = max(
-                        vfilter._wc_max_length, path.length
-                    )
-        return vfilter
 
 
 class LayeredVFilter:
@@ -592,11 +504,16 @@ class LayeredVFilter:
         candidates = tuple(
             view_id for result in results for view_id in result.candidates
         )
-        lists: dict[PathPattern, list[tuple[str, int]]] = {}
+        lists: dict[PathPattern, PathList] = {}
         for path in base_result.query_paths:
-            merged: list[tuple[str, int]] = []
-            for result in results:
-                merged.extend(result.lists.get(path, ()))
-            merged.sort(key=lambda item: (-item[1], item[0]))
-            lists[path] = merged
-        return FilterResult(candidates, lists, base_result.query_paths)
+            lists[path] = tuple(sorted(
+                (
+                    entry
+                    for result in results
+                    for entry in result.lists.get(path, ())
+                ),
+                key=_list_order,
+            ))
+        return FilterResult(
+            candidates, MappingProxyType(lists), base_result.query_paths
+        )

@@ -20,7 +20,7 @@ A fragment encoded from the live tree is built by one walk
 its payload and a parentless copy of the subtree carrying every node's
 codes, once per packed code per edit: every view storing that code
 holds the same :class:`Fragment`, so its tree and label index are
-built at most once and no later read decodes or re-stamps it.
+built at most once and no later read decodes it.
 Everything else reuses the stored fragment, payload bytes and decoded
 subtree included.  The splice works by bisection on the view's
 code-ordered list: one cut for the replaced range and one probe per
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterable
 
 from ..core.plancache import PlanEntry
@@ -158,9 +159,10 @@ class FragmentPatcher:
         assert node.dewey is not None and packed is not None
         fragment = encoded.get(packed)
         if fragment is None:
-            body, root = encode_fragment_copy(node, self.document.schema)
+            schema = self.document.schema
+            body, root = encode_fragment_copy(node, schema)
             fragment = Fragment(
-                node.dewey, encode_dewey(node.dewey) + body, root, packed
+                node.dewey, encode_dewey(node.dewey) + body, schema, root, packed
             )
             encoded[packed] = fragment
         return fragment
@@ -212,7 +214,7 @@ def patch_plan(
         entry.selection,
         result=RewriteResult(
             codes[:start] + tuple(added) + codes[stop:],
-            answers=answers,
+            answers=MappingProxyType(answers),
             refined=result.refined,
             extraction_view=result.extraction_view,
             joined_roots=result.joined_roots,

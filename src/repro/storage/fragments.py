@@ -10,10 +10,18 @@ Fragments are persisted in a :class:`~repro.storage.kvstore.KVStore`
 under keys ``f:<view_id>:<seq>`` with a per-view manifest ``m:<view_id>``
 recording the fragment count, cap state and total bytes.  Codes are kept
 sorted (document order), which the holistic join relies on.
+
+A :class:`Fragment` hands out one tree, complete and never changed
+after it is published: every node carries its extended Dewey code,
+stamped by the decode (:func:`~repro.storage.serialize.decode_fragment`,
+from the root code and the schema the payload was written under) or
+copied from the live tree by delta maintenance.  The first decode
+runs under one lock, so racing readers all see the same tree.
 """
 
 from __future__ import annotations
 
+import threading
 from itertools import chain, compress
 from itertools import count as naturals
 from operator import is_not
@@ -23,6 +31,7 @@ from ..errors import StorageError
 from ..matching.evaluate import SubtreeIndex
 from ..xmltree.builder import EncodedDocument
 from ..xmltree.dewey import DeweyCode, PackedCode, pack_code, packed_prefixes
+from ..xmltree.schema import DocumentSchema
 from ..xmltree.tree import XMLNode
 from .kvstore import KVStore
 from .serialize import (
@@ -39,47 +48,65 @@ __all__ = ["Fragment", "FragmentStore", "DEFAULT_FRAGMENT_CAP"]
 #: Paper setting: 128 KiB of materialized fragments per view.
 DEFAULT_FRAGMENT_CAP = 128 * 1024
 
+#: Serialises the first decode of every fragment (:attr:`Fragment.root`):
+#: two racing decodes would publish two trees, and a reader could
+#: then join over one and extract from the other.  Reads of a built
+#: tree take no lock.
+_DECODE_LOCK = threading.Lock()
+
 
 class Fragment:
     """One materialized fragment: root code, stored bytes and subtree.
 
     ``packed``, the order-preserving bytes of the root code, is filled
     at construction: it is the key of every bisect and sort over a
-    view's fragments.  The subtree is decoded from the payload on
-    first use, or handed over at construction when delta maintenance
-    has just encoded the payload from the live tree
-    (:func:`~repro.storage.serialize.encode_fragment_copy`): that copy
-    already carries every node's code, so no read decodes or re-stamps
-    it.  Such a fragment is one object shared by every view storing
-    its code.  The per-depth packed prefixes and the label index of
-    the subtree are computed once per object and amortized across
-    queries by the store's warm cache.
+    view's fragments.  The subtree is decoded from the payload, under
+    ``schema`` (the one it was written under), on first use, or handed
+    over at construction when delta maintenance has just encoded the
+    payload from the live tree
+    (:func:`~repro.storage.serialize.encode_fragment_copy`).  Either
+    way every node carries its code, and the tree never changes once
+    published.  A handed-over fragment is one object shared by every
+    view storing its code.  The per-depth packed prefixes and the
+    label index of the subtree are computed once per object and
+    amortized across queries by the store's warm cache.
     """
 
-    __slots__ = ("code", "packed", "_payload", "_root", "_prefixes", "_subtree")
+    __slots__ = (
+        "code", "packed", "_payload", "_schema", "_root", "_prefixes",
+        "_subtree",
+    )
 
     def __init__(
         self,
         code: DeweyCode,
         payload: bytes,
+        schema: DocumentSchema,
         root: XMLNode | None = None,
         packed: PackedCode | None = None,
     ) -> None:
         self.code = code
         self.packed: PackedCode = pack_code(code) if packed is None else packed
         self._payload = payload
+        self._schema = schema
         self._root = root
         self._prefixes: tuple[PackedCode, ...] | None = None
         self._subtree: SubtreeIndex | None = None
 
     @property
     def root(self) -> XMLNode:
-        """Decode (once) and return the fragment subtree root."""
-        if self._root is None:
-            code, offset = decode_dewey(self._payload, 0)
-            assert code == self.code
-            self._root, _ = decode_fragment(self._payload, offset)
-        return self._root
+        """The fragment subtree root, decoded at most once."""
+        root = self._root
+        if root is None:
+            with _DECODE_LOCK:
+                root = self._root
+                if root is None:
+                    _code, offset = decode_dewey(self._payload, 0)
+                    root, _ = decode_fragment(
+                        self._payload, offset, self.code, self._schema
+                    )
+                    self._root = root
+        return root
 
     @property
     def built_root(self) -> XMLNode | None:
@@ -117,15 +144,17 @@ class Fragment:
 class FragmentStore:
     """Fragment persistence for a set of materialized views."""
 
-    def __init__(self, store: KVStore | None = None,
-                 cap_bytes: int = DEFAULT_FRAGMENT_CAP,
-                 document: EncodedDocument | None = None):
+    def __init__(self, document: EncodedDocument,
+                 store: KVStore | None = None,
+                 cap_bytes: int = DEFAULT_FRAGMENT_CAP):
+        #: The document the fragments are cut from: its (current)
+        #: schema is the one the payloads are written under, so
+        #: :meth:`materialize` stores the components a delete left
+        #: non-smallest (:func:`encode_fragment`) and a read decodes
+        #: every code back.
+        self.document = document  #: state: hard
         self.store = store if store is not None else KVStore()  #: state: hard
         self.cap_bytes = cap_bytes  #: state: hard
-        #: The document the fragments are cut from: its (current)
-        #: schema lets :meth:`materialize` store the components a
-        #: delete left non-smallest (:func:`encode_fragment`).
-        self.document = document  #: state: hard
         #: view_id -> (count, total_bytes, capped)
         #: state: soft(derived-from=store?; rebuild=_load_manifests)
         self._manifests: dict[str, tuple[int, int, bool]] = {}
@@ -187,7 +216,7 @@ class FragmentStore:
         if view_id in self._manifests:
             raise StorageError(f"view {view_id!r} already materialized")
         entries = sorted(fragments, key=lambda item: item[0])
-        schema = self.document.schema if self.document is not None else None
+        schema = self.document.schema
         total = 0
         payloads: list[bytes] = []
         for code, root in entries:
@@ -301,6 +330,7 @@ class FragmentStore:
         manifest = self._manifests.get(view_id)
         if manifest is None or manifest[2]:
             return []
+        schema = self.document.schema
         result: list[Fragment] = []
         for seq in range(manifest[0]):
             payload = self.store.get(self._fragment_key(view_id, seq))
@@ -309,7 +339,7 @@ class FragmentStore:
                     f"missing fragment {seq} for view {view_id!r}"
                 )
             code, _ = decode_dewey(payload, 0)
-            result.append(Fragment(code, payload))
+            result.append(Fragment(code, payload, schema))
         self._cache[view_id] = result
         return result
 

@@ -14,7 +14,11 @@ One subtree walk writes the subtree format.  :func:`encode_fragment`
 takes its bytes alone; :func:`encode_fragment_copy` takes, from one
 walk of a live subtree, its bytes and a code-stamped, parentless copy,
 so delta maintenance can hand a re-encoded fragment its decoded tree
-and no read decodes the bytes the edit just wrote.
+and no read decodes the bytes the edit just wrote.  The subtree
+format stores no per-node codes except where a delete left a gap:
+:func:`decode_fragment` rebuilds every code in its one walk from the
+root's code and the schema, so a decoded tree is as complete as that
+copy.
 
 All decoders take ``(buffer, offset)`` and return ``(value,
 new_offset)`` so records can be composed without intermediate copies.
@@ -26,7 +30,12 @@ from itertools import repeat
 from typing import Iterable
 
 from ..errors import StorageError
-from ..xmltree.dewey import DeweyCode
+from ..xmltree.dewey import (
+    DeweyCode,
+    assign_child_component,
+    pack_code,
+    pack_component,
+)
 from ..xmltree.schema import DocumentSchema
 from ..xmltree.tree import XMLNode
 
@@ -119,9 +128,9 @@ def encode_fragment(root: XMLNode, schema: DocumentSchema | None = None) -> byte
     component.  With ``schema`` given, a coded node below ``root``
     whose component is not the smallest admissible one after its
     previous sibling's (a delete left a gap before it) stores its last
-    component, so :func:`~repro.core.rewrite.reencode_fragment`
-    restores its exact code.  Freshly encoded documents have no gaps,
-    so their payloads carry no component at all.
+    component, so :func:`decode_fragment` restores its exact code.
+    Freshly encoded documents have no gaps, so their payloads carry no
+    component at all.
     """
     parts: list[bytes] = []
     _walk(root, schema, parts, None)
@@ -134,10 +143,9 @@ def encode_fragment_copy(
     """:func:`encode_fragment` of a live subtree together with, from
     the same walk, a parentless copy of it whose every node carries
     the live ``dewey`` and ``dewey_packed``: the tree
-    :func:`decode_fragment` + :func:`~repro.core.rewrite.reencode_fragment`
-    would rebuild from the bytes, without decoding them.  The copy
-    shares no node or attribute dict with ``root``, so later edits of
-    the live tree leave it as it is."""
+    :func:`decode_fragment` would rebuild from the bytes, without
+    decoding them.  The copy shares no node or attribute dict with
+    ``root``, so later edits of the live tree leave it as it is."""
     parts: list[bytes] = []
     copy = _copy_node(root, None)
     _walk(root, schema, parts, copy)
@@ -240,16 +248,22 @@ def _copy_node(node: XMLNode, parent: XMLNode | None) -> XMLNode:
     return copy
 
 
-def decode_fragment(buffer: bytes, offset: int = 0) -> tuple[XMLNode, int]:
-    """Inverse of :func:`encode_fragment`; returns ``(root, new_offset)``.
+def decode_fragment(
+    buffer: bytes, offset: int, code: DeweyCode, schema: DocumentSchema
+) -> tuple[XMLNode, int]:
+    """Inverse of :func:`encode_fragment` for the subtree rooted at
+    ``code``, encoded under ``schema``; returns ``(root, new_offset)``.
 
-    A node stored with an explicit component carries it as a
-    one-component ``dewey`` until
-    :func:`~repro.core.rewrite.reencode_fragment` stamps the full
-    codes; every other decoded node has no code.
+    The one walk stamps every node's ``dewey`` and ``dewey_packed``:
+    the root gets ``code``; a child stored with an explicit component
+    gets that component, every other child the smallest admissible
+    one after its previous sibling's (extended Dewey assignment is
+    deterministic and the format keeps sibling order).  The codes
+    therefore equal the document's, and the tree is complete when it
+    is returned.
     """
 
-    def read_node(offset: int) -> tuple[XMLNode, int, int]:
+    def read_node(offset: int) -> tuple[XMLNode, int | None, int, int]:
         label, offset = decode_text(buffer, offset)
         flags, offset = decode_varint(buffer, offset)
         text: str | None = None
@@ -266,21 +280,32 @@ def decode_fragment(buffer: bytes, offset: int = 0) -> tuple[XMLNode, int]:
             attributes[name] = value
         child_count, offset = decode_varint(buffer, offset)
         node = XMLNode(label, text=text, attributes=attributes)
-        if component is not None:
-            node.dewey = (component,)
-        return node, child_count, offset
+        return node, component, child_count, offset
 
-    root, root_children, offset = read_node(offset)
-    # Explicit stack of (node, remaining children) to avoid recursion.
-    stack: list[tuple[XMLNode, int]] = [(root, root_children)]
+    root, _component, root_children, offset = read_node(offset)
+    root.dewey = code
+    root.dewey_packed = pack_code(code)
+    # Explicit stack of (node, its code, its packed code, remaining
+    # children, previous child's component) to avoid recursion.
+    stack: list[tuple[XMLNode, DeweyCode, bytes, int, int | None]] = [
+        (root, code, root.dewey_packed, root_children, None)
+    ]
     while stack:
-        parent, remaining = stack[-1]
+        parent, parent_code, parent_packed, remaining, previous = stack[-1]
         if remaining == 0:
             stack.pop()
             continue
-        stack[-1] = (parent, remaining - 1)
-        child, grandchildren, offset = read_node(offset)
+        child, component, grandchildren, offset = read_node(offset)
+        if component is None:
+            component = assign_child_component(
+                schema, parent.label, child.label, previous
+            )
+        stack[-1] = (parent, parent_code, parent_packed, remaining - 1, component)
+        child.dewey = parent_code + (component,)
+        child.dewey_packed = parent_packed + pack_component(component)
         parent.add_child(child)
         if grandchildren:
-            stack.append((child, grandchildren))
+            stack.append(
+                (child, child.dewey, child.dewey_packed, grandchildren, None)
+            )
     return root, offset

@@ -36,7 +36,6 @@ Covers the pieces the coarse maintenance tests don't:
 
 from __future__ import annotations
 
-import importlib
 import random
 import threading
 
@@ -57,8 +56,6 @@ from repro.workload.querygen import (
     generate_positive,
 )
 from repro.workload.xmark import generate_xmark_document
-from repro.core import contained as contained_module
-from repro.core import reencode_fragment
 from repro.storage import fragments as fragments_module
 from repro.storage.serialize import (
     decode_dewey,
@@ -72,10 +69,6 @@ from repro.xpath.ast import Axis
 from repro.xpath.pattern import PatternNode, TreePattern
 
 from conftest import coded_nodes, random_pattern, random_tree
-
-# ``repro.core.rewrite`` the attribute is the function; the module's
-# ``reencode_fragment`` binding is patched through the module object.
-rewrite_module = importlib.import_module("repro.core.rewrite")
 
 
 def _system(views: dict[str, str]) -> MaterializedViewSystem:
@@ -341,8 +334,7 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 
 def _assert_fragment_trees_match_payloads(system: MaterializedViewSystem) -> None:
     """Every fragment tree already built in memory is a decode of its
-    payload (re-stamped with its codes unless it is an unstamped
-    decode)."""
+    payload, codes included."""
     schema = system.document.schema
     for view in system.materialized_views():
         for fragment in system.fragments.fragments(view.view_id):
@@ -350,9 +342,7 @@ def _assert_fragment_trees_match_payloads(system: MaterializedViewSystem) -> Non
             if built is None:
                 continue
             code, offset = decode_dewey(fragment.payload, 0)
-            decoded, _ = decode_fragment(fragment.payload, offset)
-            if built.dewey is not None:
-                reencode_fragment(decoded, code, schema)
+            decoded, _ = decode_fragment(fragment.payload, offset, code, schema)
             assert built.parent is None
             assert coded_nodes(built) == coded_nodes(decoded), (
                 view.view_id, code,
@@ -388,10 +378,6 @@ class TestReencodedFragments:
     ):
         system, _editor, section = self._edited()
         decodes = _count_calls(monkeypatch, fragments_module, "decode_fragment")
-        restamps = [
-            _count_calls(monkeypatch, rewrite_module, "reencode_fragment"),
-            _count_calls(monkeypatch, contained_module, "reencode_fragment"),
-        ]
         # The edit changed the content of an answer: the plan was
         # dropped, so this read re-derives it over the fragments.
         outcome = system.answer("//b/s")
@@ -399,7 +385,6 @@ class TestReencodedFragments:
         assert outcome.codes == system.direct_codes("//b/s")
         assert len(outcome.rewrite_result.answers[section.dewey].children) == 3
         assert decodes[0] == 0
-        assert [calls[0] for calls in restamps] == [0, 0]
 
     def test_handed_over_copy_is_detached_from_the_live_tree(self):
         system, editor, section = self._edited()

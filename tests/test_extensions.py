@@ -109,7 +109,6 @@ class TestCostBasedSelection:
             selection,
             query,
             system.fragments,
-            system.document.schema,
             system.document.fst,
         )
         assert list(result.codes) == system.direct_codes(query)
@@ -133,7 +132,7 @@ class TestMaximalContainedRewriting:
         query = parse_xpath("//a[b]/d")
         result = maximal_contained_rewriting(
             system.materialized_views(), query,
-            system.fragments, system.document.schema,
+            system.fragments, system.document.fst,
         )
         truth = set(system.direct_codes(query))
         assert set(result.codes) <= truth
@@ -146,7 +145,7 @@ class TestMaximalContainedRewriting:
         query = parse_xpath("//a[b]/d")
         result = maximal_contained_rewriting(
             system.materialized_views(), query,
-            system.fragments, system.document.schema,
+            system.fragments, system.document.fst,
         )
         assert result.is_exact
         assert result.codes == system.direct_codes(query)
@@ -157,7 +156,7 @@ class TestMaximalContainedRewriting:
         query = parse_xpath("//a[b]/d")
         result = maximal_contained_rewriting(
             system.materialized_views(), query,
-            system.fragments, system.document.schema,
+            system.fragments, system.document.fst,
         )
         # single-view equivalent rewriting applies: [b] is checkable? No —
         # b is NOT under d, so V alone cannot answer; no contribution.
@@ -170,7 +169,7 @@ class TestMaximalContainedRewriting:
         query = parse_xpath("//a[b]/d")
         result = maximal_contained_rewriting(
             system.materialized_views(), query,
-            system.fragments, system.document.schema,
+            system.fragments, system.document.fst,
         )
         assert result.is_exact
         assert result.codes == system.direct_codes(query)
@@ -185,7 +184,7 @@ class TestMaximalContainedRewriting:
         query = random_pattern(rng, max_nodes=4)
         result = maximal_contained_rewriting(
             system.materialized_views(), query,
-            system.fragments, system.document.schema,
+            system.fragments, system.document.fst,
         )
         truth = set(system.direct_codes(query))
         assert set(result.codes) <= truth

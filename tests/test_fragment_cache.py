@@ -9,7 +9,7 @@ def _materialized_store(spec, view_expr):
     from repro.core import View
 
     doc = encode_tree(build_tree(spec))
-    store = FragmentStore()
+    store = FragmentStore(doc)
     view = View.from_xpath("V", view_expr)
     answers = evaluate(view.pattern, doc.tree)
     store.materialize("V", [(n.dewey, n) for n in answers])
@@ -32,8 +32,8 @@ class TestWarmCache:
         assert store.fragments("V") == []
 
     def test_cached_roots_keep_reencoded_codes(self):
-        """rewrite() stamps Dewey codes onto cached fragment roots; a
-        later read must still be consistent (idempotent re-encode)."""
+        """Cached fragment trees carry their Dewey codes from the
+        decode; later reads over them stay consistent."""
         from repro import MaterializedViewSystem
 
         doc = encode_tree(build_tree(
@@ -51,7 +51,7 @@ class TestWarmCache:
         from repro.core import View
 
         doc = encode_tree(build_tree(("r", [("a", ["b"]), ("c", ["d"])])))
-        store = FragmentStore()
+        store = FragmentStore(doc)
         for view_id, expr in (("VA", "//a"), ("VC", "//c")):
             view = View.from_xpath(view_id, expr)
             answers = evaluate(view.pattern, doc.tree)
@@ -65,13 +65,13 @@ class TestWarmCache:
 
         doc = encode_tree(build_tree(("r", [("a", ["b"])])))
         with KVStore(path) as kv:
-            store = FragmentStore(kv)
+            store = FragmentStore(doc, kv)
             view = View.from_xpath("V", "//a")
             answers = evaluate(view.pattern, doc.tree)
             store.materialize("V", [(n.dewey, n) for n in answers])
             store.fragments("V")  # warm
         with KVStore(path) as kv:
-            fresh = FragmentStore(kv)
+            fresh = FragmentStore(doc, kv)
             fragments = fresh.fragments("V")
             assert len(fragments) == 1
             assert fragments[0].root.label == "a"

@@ -202,30 +202,7 @@ class TestVFilterAlgorithm1:
         written = vfilter.save(store)
         assert written > 0
         assert written == store.stored_bytes
-        assert len(store) == vfilter.nfa.state_count + vfilter.view_count
-
-    def test_save_load_roundtrip(self):
-        vfilter = VFilter()
-        vfilter.add_views(self._views())
-        store = KVStore()
-        vfilter.save(store)
-        loaded = VFilter.load(store)
-        query = parse_xpath("s[f//i][t]/p")
-        original = vfilter.filter(query)
-        recovered = loaded.filter(query)
-        assert recovered.candidates == original.candidates
-        assert recovered.lists == original.lists
-        assert loaded.view("V1").to_xpath() == vfilter.view("V1").to_xpath()
-
-    def test_loaded_filter_accepts_new_views(self):
-        vfilter = VFilter()
-        vfilter.add_views(self._views())
-        store = KVStore()
-        vfilter.save(store)
-        loaded = VFilter.load(store)
-        loaded.add_view(View.from_xpath("extra", "//s//i"))
-        result = loaded.filter(parse_xpath("//s/f/i"))
-        assert "extra" in result.candidates
+        assert len(store) == vfilter.nfa.state_count
 
     def test_view_lookup(self):
         vfilter = VFilter()

@@ -110,24 +110,42 @@ def test_warm_codes_are_independent_copies():
 
 
 def test_answer_candidates_cannot_change_the_cached_plan():
-    """``candidates`` and the rewrite's ``codes`` are the plan's own
-    tuples: shared by every hit without a copy, and no caller can edit
-    them, through the outcome or through its intermediate results."""
+    """``candidates``, the rewrite's ``codes`` and ``answers`` and the
+    filter's ``lists`` are the plan's own read-only artifacts: shared
+    by every hit without a copy, and no caller can edit them, through
+    the outcome or through its intermediate results."""
     system = _book_system()
     cold = system.answer("s[f//i][t]/p")
     codes = cold.rewrite_result.codes
+    answers = dict(cold.rewrite_result.answers)
+    lists = dict(cold.filter_result.lists)
+    assert answers and lists
     with pytest.raises(AttributeError):
         cold.candidates.append("BOGUS")
     with pytest.raises(AttributeError):
         cold.filter_result.candidates.append("BOGUS")
     with pytest.raises(AttributeError):
         cold.rewrite_result.codes.append((9, 9))
+    with pytest.raises(AttributeError):
+        cold.rewrite_result.answers.clear()
+    with pytest.raises(AttributeError):
+        cold.filter_result.lists.clear()
     warm = system.answer("s[f//i][t]/p")
     with pytest.raises(AttributeError):
         warm.filter_result.candidates.append("BOGUS")
     with pytest.raises(AttributeError):
         warm.rewrite_result.codes.append((9, 9))
+    with pytest.raises(AttributeError):
+        warm.rewrite_result.answers.clear()
+    with pytest.raises(TypeError):
+        warm.rewrite_result.answers[(9, 9)] = None
+    with pytest.raises(AttributeError):
+        warm.filter_result.lists.clear()
+    with pytest.raises(AttributeError):
+        next(iter(warm.filter_result.lists.values())).append(("BOGUS", 1))
     again = system.answer("s[f//i][t]/p")
+    assert dict(again.rewrite_result.answers) == answers
+    assert dict(again.filter_result.lists) == lists
     assert warm.plan_cache_hit and again.plan_cache_hit
     assert warm.candidates is warm.filter_result.candidates
     assert "BOGUS" not in again.candidates

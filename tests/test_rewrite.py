@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MaterializedViewSystem, View, reencode_fragment
+from repro.core import MaterializedViewSystem, View
 from repro.core.leaf_cover import coverage_units
 from repro.core.refine import compensating_pattern, refine_unit
 from repro.core.twig_join import anchor_instantiations
@@ -44,7 +44,7 @@ class TestRefine:
         from repro.matching import evaluate
 
         view = View.from_xpath("V", view_expr)
-        store = FragmentStore()
+        store = FragmentStore(doc)
         answers = evaluate(view.pattern, doc.tree)
         store.materialize("V", [(n.dewey, n) for n in answers])
         return view, store.fragments("V")
@@ -182,21 +182,17 @@ class TestJoinScenarios:
         assert [c.label for c in answer.children] == ["q"]
 
 
-class TestReencodeFragment:
+class TestDecodeStampsCodes:
     def test_codes_match_original_document(self):
         doc = encode_tree(build_tree(
             ("r", [("a", ["x", "y", ("b", ["z"]), "x"])])
         ))
         a = doc.tree.root.children[0]
-        original = {n.label_path() + (n.dewey,) for n in a.iter_subtree()}
-        # strip codes from a copy via serialization round trip
         from repro.storage import decode_fragment, encode_fragment
 
-        copy, _ = decode_fragment(encode_fragment(a))
-        reencode_fragment(copy, a.dewey, doc.schema)
-        copied = {n.label_path() + (n.dewey,) for n in copy.iter_subtree()}
-        # label_path of the copy is relative; compare codes per position
-        assert sorted(n.dewey for n in copy.iter_subtree()) == sorted(
-            n.dewey for n in a.iter_subtree()
+        copy, _ = decode_fragment(
+            encode_fragment(a, doc.schema), 0, a.dewey, doc.schema
         )
-        del original, copied
+        assert [(n.label, n.dewey, n.dewey_packed) for n in copy.iter_subtree()] == [
+            (n.label, n.dewey, n.dewey_packed) for n in a.iter_subtree()
+        ]

@@ -15,11 +15,17 @@ sampled plan-consistency check audits warm hits *during* the storm.
 from __future__ import annotations
 
 import random
+import sys
 import threading
+from contextlib import AbstractContextManager, contextmanager
+from typing import Any, Callable, Iterator
+
+import pytest
 
 from repro.delta.maintenance import DocumentEditor
 from repro.core.system import MaterializedViewSystem
-from repro.service import SnapshotEngine
+from repro.service import QueryScheduler, SnapshotEngine
+from repro.storage import KVStore
 from repro.workload.xmark import generate_xmark
 from repro.xmltree.builder import encode_tree
 from repro.xmltree.tree import XMLNode
@@ -212,3 +218,102 @@ def test_stats_snapshot_is_deep_and_race_free():
     stats = engine.stats()
     assert stats["views"]["registered"] == len(INITIAL_VIEWS) + 25
     assert stats["epoch"] == len(INITIAL_VIEWS) + 25
+
+
+# ----------------------------------------------------------------------
+# first decodes under contention
+# ----------------------------------------------------------------------
+#: Distinct cold queries answered from the one ``/site/regions``
+#: fragment: started together, their first extractions race on its
+#: first decode.
+REGION_QUERIES = (
+    "/site/regions/africa/item/name",
+    "/site/regions/europe/item[payment]/location",
+    "/site/regions//item/quantity",
+    "/site/regions/asia/item[shipping]/name",
+)
+DECODE_TRIALS = 20
+
+
+@pytest.fixture(scope="module")
+def regions() -> tuple[MaterializedViewSystem, KVStore, dict]:
+    system = MaterializedViewSystem(encode_tree(generate_xmark(scale=0.2, seed=7)))
+    assert system.register_view("V", "/site/regions")
+    truth = {query: system.direct_codes(query) for query in REGION_QUERIES}
+    return system, system.fragments.store, truth
+
+
+@contextmanager
+def _direct(system: MaterializedViewSystem) -> Iterator[Callable[[str], Any]]:
+    yield system.answer
+
+
+@contextmanager
+def _scheduled(system: MaterializedViewSystem) -> Iterator[Callable[[str], Any]]:
+    scheduler = QueryScheduler(SnapshotEngine(system), workers=4)
+    try:
+        yield scheduler.submit
+    finally:
+        scheduler.close()
+
+
+def _racing_first_decodes(
+    regions: tuple[MaterializedViewSystem, KVStore, dict],
+    answering: Callable[
+        [MaterializedViewSystem], AbstractContextManager[Callable[[str], Any]]
+    ],
+) -> str:
+    """Per trial: a reopened system (fresh fragment list, nothing
+    decoded, no plans) answers every region query at once, one thread
+    each, with thread switches as frequent as the interpreter allows.
+    Returns the wrong answers and errors, or "" when there are none."""
+    system, store, truth = regions
+    reads = wrong = 0
+    errors: list[str] = []
+    lock = threading.Lock()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(DECODE_TRIALS):
+            reopened = MaterializedViewSystem.reopen(system.document, store)
+            barrier = threading.Barrier(len(REGION_QUERIES))
+            with answering(reopened) as answer:
+
+                def read(query: str) -> None:
+                    nonlocal reads, wrong
+                    barrier.wait(timeout=10.0)
+                    try:
+                        codes = list(answer(query).codes)
+                    except Exception as error:
+                        with lock:
+                            errors.append(repr(error))
+                        return
+                    with lock:
+                        reads += 1
+                        wrong += codes != truth[query]
+
+                threads = [
+                    threading.Thread(target=read, args=(query,))
+                    for query in REGION_QUERIES
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    if not wrong and not errors:
+        return ""
+    return f"{wrong} wrong of {reads} reads, {len(errors)} errors: {errors[:3]}"
+
+
+def test_racing_first_decodes_answer_exactly_on_threads(regions):
+    """Every tree a fragment hands out is complete and published once:
+    cold reads racing on a fragment's first decode each equal direct
+    evaluation."""
+    assert _racing_first_decodes(regions, _direct) == ""
+
+
+def test_racing_first_decodes_answer_exactly_through_the_scheduler(regions):
+    assert _racing_first_decodes(regions, _scheduled) == ""

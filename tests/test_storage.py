@@ -19,9 +19,8 @@ from repro.storage import (
     encode_text,
     encode_varint,
 )
-from repro.core import reencode_fragment
 from repro.storage.serialize import encode_fragment_copy
-from repro.xmltree import XMLNode, build_tree, encode_tree
+from repro.xmltree import XMLNode, XMLTree, build_tree, encode_tree
 
 from conftest import coded_nodes, random_tree
 
@@ -66,32 +65,46 @@ class TestTextAndDewey:
             decode_text(data, 0)
 
 
+def _decoded(node: XMLNode, schema) -> XMLNode:
+    """``node``'s subtree through an encode and a decode."""
+    data = encode_fragment(node, schema)
+    again, offset = decode_fragment(data, 0, node.dewey, schema)
+    assert offset == len(data)
+    return again
+
+
 class TestFragmentSerialization:
     def test_roundtrip_structure(self):
         tree = build_tree(("a", [("b", ["c", "d"]), "e"]))
         tree.root.attributes["id"] = "1"
         tree.root.children[1].text = "some text"
-        data = encode_fragment(tree.root)
-        again, offset = decode_fragment(data)
-        assert offset == len(data)
+        again = _decoded(tree.root, encode_tree(tree).schema)
         assert again.structurally_equal(tree.root)
+        assert coded_nodes(again) == coded_nodes(tree.root)
 
     def test_roundtrip_preserves_sibling_order(self):
         root = XMLNode("r")
         for label in "cba":
             root.new_child(label)
-        again, _ = decode_fragment(encode_fragment(root))
+        again = _decoded(root, encode_tree(XMLTree(root)).schema)
         assert [child.label for child in again.children] == list("cba")
+        assert [child.dewey for child in again.children] == [
+            child.dewey for child in root.children
+        ]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip_random_trees(self, seed):
         tree = random_tree(random.Random(seed), max_nodes=40)
-        again, _ = decode_fragment(encode_fragment(tree.root))
+        schema = encode_tree(tree).schema
+        again = _decoded(tree.root, schema)
         assert again.structurally_equal(tree.root)
+        assert coded_nodes(again) == coded_nodes(tree.root)
+        for node in tree.iter_nodes():
+            assert coded_nodes(_decoded(node, schema)) == coded_nodes(node)
 
     def test_unicode_and_escaping(self):
         node = XMLNode("α", text="ünïcode ✓", attributes={"k": "v&<>'\""})
-        again, _ = decode_fragment(encode_fragment(node))
+        again = _decoded(node, encode_tree(XMLTree(node)).schema)
         assert again.structurally_equal(node)
 
 
@@ -100,8 +113,8 @@ class TestFragmentSerialization:
 def test_copy_walk_writes_encode_fragment_bytes_after_gapped_deletes(seed):
     """The one-walk encode + copy writes the bytes ``encode_fragment``
     writes, explicit components included, and its copy is the tree a
-    decode + re-stamp of those bytes gives, sharing nothing with the
-    live subtree."""
+    decode of those bytes gives, codes included, sharing nothing with
+    the live subtree."""
     rng = random.Random(seed)
     tree = random_tree(rng, max_nodes=30, max_depth=4)
     for node in tree.iter_nodes():
@@ -121,10 +134,10 @@ def test_copy_walk_writes_encode_fragment_bytes_after_gapped_deletes(seed):
     for node in tree.iter_nodes():
         body, copy = encode_fragment_copy(node, schema)
         assert body == encode_fragment(node, schema)
-        decoded, offset = decode_fragment(body)
+        decoded, offset = decode_fragment(body, 0, node.dewey, schema)
         assert offset == len(body)
-        reencode_fragment(decoded, node.dewey, schema)
         assert coded_nodes(copy) == coded_nodes(decoded)
+        assert coded_nodes(decoded) == coded_nodes(node)
         assert copy.parent is None
         live = {id(n) for n in node.iter_subtree()}
         live |= {id(n.attributes) for n in node.iter_subtree() if n.attributes}
@@ -141,8 +154,8 @@ def test_gapped_delete_payload_stores_an_explicit_component():
     root.children[0].detach()
     body, copy = encode_fragment_copy(root, document.schema)
     assert body == encode_fragment(root, document.schema)
-    decoded, _ = decode_fragment(body)
-    assert decoded.children[0].dewey == (1,)
+    decoded, _ = decode_fragment(body, 0, root.dewey, document.schema)
+    assert decoded.children[0].dewey == (0, 1)
     assert copy.children[0].dewey == (0, 1)
 
 
@@ -243,16 +256,14 @@ class TestKVStore:
 
 class TestFragmentStore:
     def _entries(self, tree):
-        from repro.xmltree import encode_tree
-
         doc = encode_tree(tree)
         return [(node.dewey, node) for node in tree.iter_nodes()
                 if node.label == "b"], doc
 
     def test_materialize_and_read_back(self):
         tree = build_tree(("r", [("a", [("b", ["c"])]), ("b", ["d"])]))
-        entries, _doc = self._entries(tree)
-        store = FragmentStore()
+        entries, doc = self._entries(tree)
+        store = FragmentStore(doc)
         assert store.materialize("v", entries)
         fragments = store.fragments("v")
         assert [f.code for f in fragments] == sorted(e[0] for e in entries)
@@ -263,23 +274,23 @@ class TestFragmentStore:
 
     def test_cap_marks_view_unusable(self):
         tree = build_tree(("r", [("b", ["c"] * 50)]))
-        entries, _doc = self._entries(tree)
-        store = FragmentStore(cap_bytes=10)
+        entries, doc = self._entries(tree)
+        store = FragmentStore(doc, cap_bytes=10)
         assert not store.materialize("big", entries)
         assert store.is_capped("big")
         assert not store.is_materialized("big")
         assert store.fragments("big") == []
 
     def test_duplicate_view_rejected(self):
-        store = FragmentStore()
+        store = FragmentStore(encode_tree(build_tree(("r", ["b"]))))
         store.materialize("v", [])
         with pytest.raises(StorageError):
             store.materialize("v", [])
 
     def test_drop(self):
         tree = build_tree(("r", [("b", ["c"])]))
-        entries, _doc = self._entries(tree)
-        store = FragmentStore()
+        entries, doc = self._entries(tree)
+        store = FragmentStore(doc)
         store.materialize("v", entries)
         store.drop("v")
         assert store.fragments("v") == []
@@ -291,8 +302,8 @@ class TestFragmentStore:
         # (store or mark-capped) must drop the view's warm-cache entry,
         # not rely on every caller routing through drop() first.
         tree = build_tree(("r", [("b", ["c"])]))
-        entries, _doc = self._entries(tree)
-        store = FragmentStore()
+        entries, doc = self._entries(tree)
+        store = FragmentStore(doc)
         sentinel = object()
         store._cache["v"] = [sentinel]
         store.materialize("v", entries)
@@ -300,7 +311,7 @@ class TestFragmentStore:
         assert sentinel not in fragments
         assert [f.code for f in fragments] == [e[0] for e in entries]
 
-        capped = FragmentStore(cap_bytes=1)
+        capped = FragmentStore(doc, cap_bytes=1)
         capped._cache["big"] = [sentinel]
         assert not capped.materialize("big", entries)
         assert capped.fragments("big") == []
@@ -308,27 +319,49 @@ class TestFragmentStore:
     def test_persistence_across_reopen(self, tmp_path):
         path = str(tmp_path / "frags")
         tree = build_tree(("r", [("b", ["c"]), ("b", [])]))
-        entries, _doc = self._entries(tree)
+        entries, doc = self._entries(tree)
         with KVStore(path) as kv:
-            store = FragmentStore(kv)
+            store = FragmentStore(doc, kv)
             store.materialize("v", entries)
         with KVStore(path) as kv:
-            store = FragmentStore(kv)
+            store = FragmentStore(doc, kv)
             assert store.is_materialized("v")
             assert len(store.fragments("v")) == 2
             assert store.fragments("v")[0].root.label == "b"
 
+    def test_stored_fragment_decodes_with_the_document_codes(self):
+        # Deleting the first c leaves the second one's component
+        # non-smallest, so its payload record stores it explicitly.
+        doc = encode_tree(build_tree(
+            ("r", [("b", ["c", ("c", ["d"]), "e"]), ("b", ["c"])])
+        ))
+        doc.tree.root.children[0].children[0].detach()
+        entries = [
+            (node.dewey, node)
+            for node in doc.tree.iter_nodes()
+            if node.label == "b"
+        ]
+        gapped = entries[0][1]
+        assert encode_fragment(gapped, doc.schema) != encode_fragment(gapped)
+        kv = KVStore()
+        FragmentStore(doc, kv).materialize("v", entries)
+        fragments = FragmentStore(doc, kv).fragments("v")
+        assert [fragment.built_root for fragment in fragments] == [None, None]
+        for fragment, (code, node) in zip(fragments, entries):
+            assert fragment.root.parent is None
+            assert fragment.root.dewey == code
+            assert coded_nodes(fragment.root) == coded_nodes(node)
+            assert fragment.built_root is fragment.root
+
     def test_codes_sorted(self):
         tree = build_tree(("r", [("b", []), ("a", [("b", [])])]))
-        from repro.xmltree import encode_tree
-
-        encode_tree(tree)
+        doc = encode_tree(tree)
         entries = [
             (node.dewey, node)
             for node in reversed(list(tree.iter_nodes()))
             if node.label == "b"
         ]
-        store = FragmentStore()
+        store = FragmentStore(doc)
         store.materialize("v", entries)
         codes = store.codes("v")
         assert codes == sorted(codes)

@@ -134,7 +134,7 @@ class TestPersistentBackend:
         with KVStore(path) as store:
             from repro.storage import FragmentStore
 
-            fragments = FragmentStore(store)
+            fragments = FragmentStore(doc, store)
             assert fragments.is_materialized("V1")
 
 

@@ -19,7 +19,7 @@ from conftest import random_pattern, random_tree
 def _setup(spec, view_defs, query_expr):
     """Materialize views over a tree and prepare refined units."""
     doc = encode_tree(build_tree(spec))
-    store = FragmentStore()
+    store = FragmentStore(doc)
     query = parse_xpath(query_expr)
     refined_units = []
     for view_id, expression in view_defs.items():
@@ -141,7 +141,7 @@ class TestJoinAgainstTruth:
         tree = random_tree(rng, max_nodes=25)
         doc = encode_tree(tree)
         query = random_pattern(rng, max_nodes=4)
-        store = FragmentStore()
+        store = FragmentStore(doc)
         view = View("V", query)
         answers = evaluate(view.pattern, tree)
         store.materialize("V", [(n.dewey, n) for n in answers])
