@@ -112,7 +112,7 @@ DOC_TOKEN: Token = ("MaterializedViewSystem", "document")
 FIELD_MUTATORS = GENERIC_MUTATORS | {
     "write", "truncate", "materialize", "drop",
     "evict_views", "put", "delete", "add_view", "add_views",
-    "insert_subtree", "remove_subtree", "remove_range", "invalidate_views",
+    "insert_subtree", "invalidate_views",
     "note_subtree", "forget_subtree",
 }
 

@@ -103,7 +103,8 @@ def rewrite(
     under the keys ``refine`` / ``join`` / ``extract`` (the ``answer
     --profile`` plumbing), measured on ``clock`` (the system's
     injected time source; defaults to the real clock for direct
-    library use); the empty-answer short-circuit skips the bookkeeping.
+    library use).  Refinement is charged on every exit, the empty-answer
+    short-circuit included, which runs no join and no extraction.
     """
     monotonic = (clock if clock is not None else SYSTEM_CLOCK).monotonic
     trace = current_trace()
@@ -126,6 +127,7 @@ def rewrite(
         return plan
 
     refine_started = monotonic() if stage_acc is not None else 0.0
+    empty = False
     with trace.span("refine", units=len(selection.units)):
         refined_units: list[RefinedUnit] = []
         for unit in selection.units:
@@ -133,13 +135,16 @@ def rewrite(
                 unit, query, fragments_of(unit.view.view_id),
                 plan=plan_for(unit),
             )
+            refined_units.append(refined)
             if not refined.fragments:
                 # Some required piece has no instances: the answer is
                 # empty.
-                return RewriteResult((), refined=refined_units + [refined])
-            refined_units.append(refined)
+                empty = True
+                break
     if stage_acc is not None:
         stage_acc["refine"] += monotonic() - refine_started
+    if empty:
+        return RewriteResult((), refined=refined_units)
 
     delta_candidates = [
         refined for refined in refined_units if refined.unit.provides_delta

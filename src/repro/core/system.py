@@ -820,7 +820,10 @@ class MaterializedViewSystem:
                 strategy,
                 PlanEntry(pattern, None, None, error=error),
             )
+            failed = self._clock.monotonic()
             self._answers_total.inc(1.0, strategy, "cold")
+            self._answer_hist.observe(failed - started, "cold")
+            self._stage_hist.observe(failed - started, "lookup")
             for stage, seconds in stage_acc.items():
                 self._stage_hist.observe(seconds, stage)
             raise
@@ -916,6 +919,9 @@ class MaterializedViewSystem:
                 epoch=epoch,
             )
         if entry.error is not None:
+            failed = self._clock.monotonic()
+            self._answer_hist.observe(failed - started, "warm")
+            self._stage_hist.observe(failed - started, "lookup")
             raise entry.replay_error()
         assert entry.selection is not None
         lookup_done = self._clock.monotonic()

@@ -10,7 +10,8 @@ and the fragment patcher need to know about one insert/delete edit
   deletes) used for fragment-content overlap tests,
 * the set of concrete root-to-node label paths of every changed node —
   the probe strings run through the VFILTER NFAs,
-* the label set, used to scope sorted-stream range deletes.
+* the label set, which lets the resolver skip a pattern leaf whose
+  label the subtree lacks.
 
 Deltas are computed from the *pre-edit* tree (``for_insert`` before the
 subtree is attached, ``for_delete`` before the node is detached) so the
@@ -41,9 +42,6 @@ class SubtreeDelta:
     #: a stored fragment overlaps the edit content iff its packed code
     #: is a byte prefix of this anchor (ancestor-or-self).
     anchor_packed: PackedCode
-    #: Label path of the subtree root's parent (pre-edit), so index
-    #: patchers can reconstruct full paths after a detach.
-    anchor_labels: tuple[str, ...]
     #: Concrete root-to-node label paths of every changed node.
     label_paths: frozenset[tuple[str, ...]]
     #: Labels occurring in the subtree.
@@ -65,7 +63,6 @@ class SubtreeDelta:
             subtree_root=subtree,
             parent=parent,
             anchor_packed=parent.dewey_packed,
-            anchor_labels=base,
             label_paths=paths,
             labels=labels,
             changed_nodes=count,
@@ -85,7 +82,6 @@ class SubtreeDelta:
             subtree_root=node,
             parent=node.parent,
             anchor_packed=node.dewey_packed,
-            anchor_labels=base,
             label_paths=paths,
             labels=labels,
             changed_nodes=count,

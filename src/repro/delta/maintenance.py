@@ -27,8 +27,10 @@ the entire document.  This module replaces that with delta propagation:
    (:func:`~repro.delta.patcher.patch_plan`), or is dropped — the
    single plan-cache upkeep point on the edit path is the first
    statement of :meth:`DocumentEditor._apply_impacts`;
-5. the lazy base-data indexes (node / path / stream) are patched for
-   the edited range instead of being reset to ``None``.
+5. the document's code lookup is patched for the edited range, and the
+   lazy base-data indexes (node / path / stream), which only the
+   Figure 8 baselines read, are dropped; the next baseline call
+   rebuilds them.
 
 Extended Dewey codes make the encoding side cheap: inserts append the
 subtree as the parent's last child so *no existing code changes*, and
@@ -62,7 +64,7 @@ from ..errors import EncodingError, SchemaError
 from ..matching.evaluate import evaluate
 from ..obs import current_trace
 from ..storage.fragments import Fragment
-from ..xmltree.builder import EncodedDocument, encode_tree
+from ..xmltree.builder import EncodedDocument, encode_tree, stamp_descendants
 from ..xmltree.dewey import (
     DeweyCode,
     PackedCode,
@@ -397,45 +399,17 @@ class DocumentEditor:
         return evaluate(impact.view.pattern, tree, universe)
 
     def _patch_base_state(self, delta: SubtreeDelta) -> None:
-        """Patch the code lookup and lazy base-data indexes for the
-        edited range instead of resetting them to ``None``."""
-        system = self.system
-        document = system.document
+        """Patch the code lookup for the edited range, then drop the
+        lazy base-data indexes: only the Figure 8 baselines read them,
+        and their next call rebuilds them from the edited tree."""
+        document = self.system.document
         root = delta.subtree_root
         started = self._clock.monotonic()
-        document.tree.invalidate_indexes()
         if delta.operation == "insert":
             document.note_subtree(root)
         else:
             document.forget_subtree(root)
-        # Patching races with a concurrent lazy build in
-        # ``_ensure_node_index`` & co., so the same lock applies.
-        with system._index_lock:
-            node_index = system._node_index
-            path_index = system._path_index
-            stream_index = system._stream_index
-            if node_index is not None:
-                if delta.operation == "insert":
-                    node_index.insert_subtree(root)
-                else:
-                    node_index.remove_subtree(root)
-            if path_index is not None:
-                if delta.operation == "insert":
-                    path_index.insert_subtree(root, delta.anchor_labels)
-                else:
-                    path_index.remove_subtree(root, delta.anchor_labels)
-            if stream_index is not None:
-                if delta.operation == "insert":
-                    stream_index.insert_subtree(root)
-                else:
-                    low, high = delta.packed_range()
-                    stream_index.remove_range(low, high, delta.labels)
-            # Reassign unconditionally: the in-place patches above sit
-            # inside conditionals, and the derived-state walker (L15)
-            # only credits writes it can prove happen on every path.
-            system._node_index = node_index
-            system._path_index = path_index
-            system._stream_index = stream_index
+        self._drop_base_indexes()
         self._stage_hist.observe(
             self._clock.monotonic() - started, "base_patch"
         )
@@ -457,12 +431,11 @@ class DocumentEditor:
     def _encode_new_subtree(self, parent: XMLNode, subtree: XMLNode) -> None:
         """Assign codes to the appended subtree (existing codes keep)."""
         schema = self.system.document.schema
-        siblings = parent.children
         # The last *coded* existing sibling seeds component assignment;
         # uncoded siblings (nodes attached directly to the tree, never
         # encoded) must be skipped, not indexed into.
         previous: int | None = None
-        for sibling in siblings[:-1]:
+        for sibling in parent.children[:-1]:
             if sibling.dewey is not None:
                 previous = sibling.dewey[-1]
         assert parent.dewey is not None
@@ -472,22 +445,7 @@ class DocumentEditor:
         )
         subtree.dewey = parent.dewey + (component,)
         subtree.dewey_packed = parent.dewey_packed + pack_component(component)
-        stack = [subtree]
-        while stack:
-            current = stack.pop()
-            last: int | None = None
-            for child in current.children:
-                assert current.dewey is not None
-                assert current.dewey_packed is not None
-                child_component = assign_child_component(
-                    schema, current.label, child.label, last
-                )
-                last = child_component
-                child.dewey = current.dewey + (child_component,)
-                child.dewey_packed = (
-                    current.dewey_packed + pack_component(child_component)
-                )
-                stack.append(child)
+        stamp_descendants(subtree, schema)
 
     def _full_reencode(self) -> EncodedDocument:
         """Re-stamp every code of the tree under a freshly mined schema."""

@@ -178,14 +178,12 @@ class QueryScheduler:
         workers: int = 4,
         queue_limit: int = 64,
         default_timeout: float = 10.0,
-        coalesce: bool = True,
         telemetry: Telemetry | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._engine = engine
         self._default_timeout = default_timeout
-        self._coalesce = coalesce
         if telemetry is None:
             system = getattr(engine, "system", None)
             telemetry = getattr(system, "telemetry", None)
@@ -296,7 +294,7 @@ class QueryScheduler:
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            flight = self._flights.get(key) if self._coalesce else None
+            flight = self._flights.get(key)
             if flight is not None:
                 flight.waiters += 1
                 # The flight serves the furthest-out waiter; joiners
@@ -309,8 +307,7 @@ class QueryScheduler:
                     self._tracer.trace(),
                 )
                 leader = True
-                if self._coalesce:
-                    self._flights[key] = flight
+                self._flights[key] = flight
         self._events_total.inc(1.0, "submitted")
         if coalesced:
             self._events_total.inc(1.0, "coalesced")

@@ -16,7 +16,9 @@ after it is published: every node carries its extended Dewey code,
 stamped by the decode (:func:`~repro.storage.serialize.decode_fragment`,
 from the root code and the schema the payload was written under) or
 copied from the live tree by delta maintenance.  The first decode
-runs under one lock, so racing readers all see the same tree.
+runs under one lock, so racing readers all see the same tree; the
+first read of a view builds its fragment list under the store's lock,
+so racing readers all get the same list.
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ class FragmentStore:
         #: view_id -> (count, total_bytes, capped)
         #: state: soft(derived-from=store?; rebuild=_load_manifests)
         self._manifests: dict[str, tuple[int, int, bool]] = {}
+        #: Serialises every write of the warm cache, so racing first
+        #: reads of a view build one list; the fill reads the payloads
+        #: from the KV store under it.
+        #: lock: blocking-allowed
+        self._lock = threading.Lock()
         # Warm-read cache of Fragment objects (≤ cap_bytes per view, so
         # memory stays bounded) — the analogue of Berkeley DB XML's page
         # cache in the paper's setup.  Callers must not mutate the
@@ -165,6 +172,7 @@ class FragmentStore:
         # re-encoded holds a copy of the document's subtree (equal to
         # a decode of its payload, and shared by every view storing
         # its code); :meth:`replace` refreshes it on each edit.
+        #: guarded-by: _lock (writes)
         #: state: soft(derived-from=_manifests, document?; rebuild=fragments)
         self._cache: dict[str, list[Fragment]] = {}
         self._load_manifests()
@@ -234,7 +242,8 @@ class FragmentStore:
         # would keep serving fragments for a view that no longer has
         # any.  Today every caller funnels through drop() first, but
         # the eviction must not depend on that remote invariant.
-        self._cache.pop(view_id, None)
+        with self._lock:
+            self._cache.pop(view_id, None)
         self._write_manifest(view_id)
         return False
 
@@ -244,7 +253,8 @@ class FragmentStore:
         for seq, payload in enumerate(payloads):
             self.store.put(self._fragment_key(view_id, seq), payload)
         self._manifests[view_id] = (len(payloads), total, False)
-        self._cache.pop(view_id, None)
+        with self._lock:
+            self._cache.pop(view_id, None)
         self._write_manifest(view_id)
 
     def replace(
@@ -282,14 +292,16 @@ class FragmentStore:
         for seq in range(len(fragments), count):
             self.store.delete(self._fragment_key(view_id, seq))
         self._manifests[view_id] = (len(fragments), total, False)
-        self._cache[view_id] = fragments
+        with self._lock:
+            self._cache[view_id] = fragments
         self._write_manifest(view_id)
         return True
 
     def drop(self, view_id: str) -> None:
         """Remove a view's fragments and manifest."""
         manifest = self._manifests.pop(view_id, None)
-        self._cache.pop(view_id, None)
+        with self._lock:
+            self._cache.pop(view_id, None)
         if manifest is None:
             return
         count = manifest[0]
@@ -322,25 +334,32 @@ class FragmentStore:
         """Return the view's fragments in document (code) order.
 
         Repeated reads are served from the warm cache; the returned
-        subtrees are shared, so treat them as read-only.
+        subtrees are shared, so treat them as read-only.  The first
+        read of a view fills the cache double-checked under the store
+        lock, so racing first reads read the payloads once and share
+        one list.
         """
         cached = self._cache.get(view_id)
         if cached is not None:
             return cached
-        manifest = self._manifests.get(view_id)
-        if manifest is None or manifest[2]:
-            return []
-        schema = self.document.schema
-        result: list[Fragment] = []
-        for seq in range(manifest[0]):
-            payload = self.store.get(self._fragment_key(view_id, seq))
-            if payload is None:
-                raise StorageError(
-                    f"missing fragment {seq} for view {view_id!r}"
-                )
-            code, _ = decode_dewey(payload, 0)
-            result.append(Fragment(code, payload, schema))
-        self._cache[view_id] = result
+        with self._lock:
+            cached = self._cache.get(view_id)
+            if cached is not None:
+                return cached
+            manifest = self._manifests.get(view_id)
+            if manifest is None or manifest[2]:
+                return []
+            schema = self.document.schema
+            result: list[Fragment] = []
+            for seq in range(manifest[0]):
+                payload = self.store.get(self._fragment_key(view_id, seq))
+                if payload is None:
+                    raise StorageError(
+                        f"missing fragment {seq} for view {view_id!r}"
+                    )
+                code, _ = decode_dewey(payload, 0)
+                result.append(Fragment(code, payload, schema))
+            self._cache[view_id] = result
         return result
 
     def codes(self, view_id: str) -> list[DeweyCode]:

@@ -18,7 +18,7 @@ reported.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 
 from ..xmltree.dewey import PackedCode, packed_descendant_range
 from ..xmltree.tree import XMLNode, XMLTree
@@ -88,32 +88,6 @@ class NodeIndex:
             self._by_label.setdefault(node.label, []).append(node)
             self._total_nodes += 1
 
-    def insert_subtree(self, root: XMLNode) -> None:
-        """Patch the index for a subtree appended by maintenance —
-        the delta counterpart of the ``__init__`` full build."""
-        for node in root.iter_subtree():
-            self._by_label.setdefault(node.label, []).append(node)
-            self._total_nodes += 1
-
-    def remove_subtree(self, root: XMLNode) -> None:
-        """Patch the index for a subtree detached by maintenance."""
-        gone_by_label: dict[str, set[int]] = {}
-        count = 0
-        for node in root.iter_subtree():
-            gone_by_label.setdefault(node.label, set()).add(id(node))
-            count += 1
-        for label, gone in gone_by_label.items():
-            kept = [
-                node
-                for node in self._by_label.get(label, [])
-                if id(node) not in gone
-            ]
-            if kept:
-                self._by_label[label] = kept
-            else:
-                self._by_label.pop(label, None)
-        self._total_nodes -= count
-
     def nodes_with_label(self, label: str) -> list[XMLNode]:
         return self._by_label.get(label, [])
 
@@ -171,35 +145,6 @@ class DeweyStreamIndex:
         for stream in self._by_label.values():
             stream.sort()
 
-    def insert_subtree(self, root: XMLNode) -> None:
-        """Patch the streams for a freshly encoded appended subtree."""
-        for node in root.iter_subtree():
-            packed = node.dewey_packed
-            if packed is None:
-                continue
-            insort(self._by_label.setdefault(node.label, []), packed)
-            insort(self._all, packed)
-
-    def remove_range(
-        self,
-        low: PackedCode,
-        high: PackedCode,
-        labels: frozenset[str] | None = None,
-    ) -> None:
-        """Drop every code in ``[low, high)`` — the packed range of a
-        detached subtree.  ``labels`` (the delta's label set) limits the
-        per-label scan; ``None`` scans every stream."""
-        streams = (
-            [self._by_label.get(label) for label in labels]
-            if labels is not None
-            else list(self._by_label.values())
-        )
-        for stream in streams:
-            if not stream:
-                continue
-            del stream[bisect_left(stream, low):bisect_left(stream, high)]
-        del self._all[bisect_left(self._all, low):bisect_left(self._all, high)]
-
     def stream(self, label: str) -> list[PackedCode]:
         """Sorted packed codes of every node labeled ``label``."""
         return self._by_label.get(label, [])
@@ -245,38 +190,6 @@ class FullPathIndex:
         while stack:
             node, path = stack.pop()
             self._by_path.setdefault(path, []).append(node)
-            for child in node.children:
-                stack.append((child, path + (child.label,)))
-
-    def insert_subtree(self, root: XMLNode, base: tuple[str, ...]) -> None:
-        """Patch the index for an appended subtree.  ``base`` is the
-        label path of ``root``'s parent (the delta records it before
-        the edit, so this works identically pre- and post-attach)."""
-        stack: list[tuple[XMLNode, tuple[str, ...]]] = [
-            (root, base + (root.label,))
-        ]
-        while stack:
-            node, path = stack.pop()
-            self._by_path.setdefault(path, []).append(node)
-            for child in node.children:
-                stack.append((child, path + (child.label,)))
-
-    def remove_subtree(self, root: XMLNode, base: tuple[str, ...]) -> None:
-        """Patch the index for a detached subtree; ``base`` is the label
-        path of the *former* parent (a detached root no longer knows
-        its ancestors)."""
-        stack: list[tuple[XMLNode, tuple[str, ...]]] = [
-            (root, base + (root.label,))
-        ]
-        while stack:
-            node, path = stack.pop()
-            nodes = self._by_path.get(path)
-            if nodes is not None:
-                kept = [kept_node for kept_node in nodes if kept_node is not node]
-                if kept:
-                    self._by_path[path] = kept
-                else:
-                    self._by_path.pop(path, None)
             for child in node.children:
                 stack.append((child, path + (child.label,)))
 

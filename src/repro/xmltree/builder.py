@@ -5,7 +5,9 @@ schema and stamping each node's ``dewey`` attribute with its extended
 Dewey code under the deterministic assignment rule of
 :mod:`repro.xmltree.dewey`.  The returned :class:`EncodedDocument`
 bundles the tree, schema and FST — the triple every downstream component
-(materialization, join, baselines) operates on.
+(materialization, join, baselines) operates on.  The walk itself,
+:func:`stamp_descendants`, also codes a subtree that maintenance
+appends to an encoded document.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .fst import FiniteStateTransducer
 from .schema import DocumentSchema
 from .tree import XMLNode, XMLTree
 
-__all__ = ["EncodedDocument", "encode_tree"]
+__all__ = ["EncodedDocument", "encode_tree", "stamp_descendants"]
 
 
 class EncodedDocument:
@@ -88,9 +90,18 @@ def encode_tree(
 
     tree.root.dewey = (0,)
     tree.root.dewey_packed = pack_component(0)
+    stamp_descendants(tree.root, schema)
+    return EncodedDocument(tree, schema)
+
+
+def stamp_descendants(root: XMLNode, schema: DocumentSchema) -> None:
+    """Stamp extended Dewey codes onto every node below ``root``, which
+    must already carry its own.  The one encoding walk: the whole
+    document (:func:`encode_tree`) and a subtree appended by
+    maintenance both go through it."""
     # Iterative DFS; each stack entry is a node whose children still need
     # codes.  Components are assigned in sibling order.
-    stack: list[XMLNode] = [tree.root]
+    stack: list[XMLNode] = [root]
     while stack:
         parent = stack.pop()
         previous: int | None = None
@@ -104,4 +115,3 @@ def encode_tree(
             child.dewey = parent.dewey + (component,)
             child.dewey_packed = parent.dewey_packed + pack_component(component)
             stack.append(child)
-    return EncodedDocument(tree, schema)

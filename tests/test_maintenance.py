@@ -145,19 +145,30 @@ class TestDelete:
     def test_baseline_indexes_refreshed(self):
         system = _book_system()
         editor = DocumentEditor(system)
-        system.answer_bn("//s/p")  # build BN
-        node_index = system._node_index
-        assert node_index is not None
+
+        def build_and_check():
+            truth = system.direct_codes("//s/p")
+            assert system.answer_bn("//s/p").codes == truth
+            assert system.answer_bf("//s/p").codes == truth
+            assert system.answer_tj("//s/p").codes == truth
+            assert system._node_index is not None
+            assert system._path_index is not None
+            assert system._stream_index is not None
+            return truth
+
+        build_and_check()
         section = system.direct_codes("//s")[0]
         editor.insert_subtree(section, XMLNode("p"))
-        target = system.direct_codes("//s/p")[0]
-        editor.delete_subtree(target)
-        # Both edits patched the index in place: never nulled, never rebuilt.
-        assert system._node_index is node_index
-        truth = system.direct_codes("//s/p")
-        assert len(truth) == 2
-        assert system.answer_bn("//s/p").codes == truth
-        assert system.answer_bf("//s/p").codes == truth
+        # An edit drops every baseline index; the next call rebuilds it.
+        assert system._node_index is None
+        assert system._path_index is None
+        assert system._stream_index is None
+        assert len(build_and_check()) == 3
+        editor.delete_subtree(system.direct_codes("//s/p")[0])
+        assert system._node_index is None
+        assert system._path_index is None
+        assert system._stream_index is None
+        assert len(build_and_check()) == 2
 
 
 class TestRandomizedMaintenance:
@@ -169,6 +180,17 @@ class TestRandomizedMaintenance:
         for index in range(5):
             system.register_view(f"v{index}", random_pattern(rng, max_nodes=4))
         editor = DocumentEditor(system)
+        # A separate stream, so the edits and queries below stay those
+        # the seed always drew.
+        baseline_rng = random.Random(f"baseline-{seed}")
+        baseline_queries = [
+            random_pattern(baseline_rng, max_nodes=4) for _ in range(3)
+        ]
+        for query in baseline_queries:
+            # Built before the edits, so each edit meets live indexes.
+            system.answer_bn(query)
+            system.answer_bf(query)
+            system.answer_tj(query)
 
         for _ in range(4):
             nodes = list(system.document.tree.iter_nodes())
@@ -183,6 +205,12 @@ class TestRandomizedMaintenance:
                     [n for n in nodes if n.parent is not None]
                 )
                 editor.delete_subtree(victim.dewey)
+
+            for baseline in baseline_queries:
+                truth = system.direct_codes(baseline)
+                assert system.answer_bn(baseline).codes == truth
+                assert system.answer_bf(baseline).codes == truth
+                assert system.answer_tj(baseline).codes == truth
 
             query = random_pattern(rng, max_nodes=4)
             truth = system.direct_codes(query)

@@ -226,20 +226,6 @@ def test_close_drains_and_rejects_new_work(engine):
         scheduler.submit("//a")
 
 
-def test_coalescing_can_be_disabled(engine):
-    scheduler = QueryScheduler(
-        engine, workers=2, queue_limit=8, coalesce=False
-    )
-    try:
-        for _ in range(3):
-            scheduler.submit("//a")
-        fast = [key for key in engine.calls if "slow" not in key]
-        assert engine.calls[fast[0]] == 3
-        assert scheduler.stats()["coalesced"] == 0
-    finally:
-        scheduler.close()
-
-
 # ----------------------------------------------------------------------
 # plan-cache hits answered on the calling thread
 # ----------------------------------------------------------------------

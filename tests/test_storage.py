@@ -329,6 +329,47 @@ class TestFragmentStore:
             assert len(store.fragments("v")) == 2
             assert store.fragments("v")[0].root.label == "b"
 
+    def test_racing_first_reads_build_one_list(self):
+        import threading
+        import time
+
+        class CountingKV(KVStore):
+            """Counts fragment reads and widens each one, so racing
+            first reads overlap."""
+
+            def __init__(self):
+                super().__init__()
+                self.reads: dict[bytes, int] = {}
+
+            def get(self, key):
+                if key.startswith(b"f:"):
+                    self.reads[key] = self.reads.get(key, 0) + 1
+                    time.sleep(0.005)
+                return super().get(key)
+
+        tree = build_tree(("r", [("b", ["c"]), ("b", []), ("b", ["d"])]))
+        entries, doc = self._entries(tree)
+        kv = CountingKV()
+        FragmentStore(doc, kv).materialize("v", entries)
+        store = FragmentStore(doc, kv)  # reopened: an empty warm cache
+        readers = 4
+        barrier = threading.Barrier(readers)
+        lists = []
+
+        def first_read():
+            barrier.wait()
+            lists.append(store.fragments("v"))
+
+        pool = [threading.Thread(target=first_read) for _ in range(readers)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert len(lists) == readers
+        assert all(fragments is lists[0] for fragments in lists)
+        assert [f.code for f in lists[0]] == [e[0] for e in entries]
+        assert sorted(kv.reads.values()) == [1] * len(entries)
+
     def test_stored_fragment_decodes_with_the_document_codes(self):
         # Deleting the first c leaves the second one's component
         # non-smallest, so its payload record stores it explicitly.

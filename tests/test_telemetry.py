@@ -502,6 +502,52 @@ def test_stats_stage_seconds_equal_histogram_sums(small_system):
     assert stats["warm_hits"] >= 1
 
 
+class _TickingClock(ManualClock):
+    """A manual clock that moves one millisecond per reading, so every
+    span between two readings is measurably non-zero."""
+
+    def monotonic(self) -> float:
+        self.advance(0.001)
+        return super().monotonic()
+
+
+def _ticking_book_system(views: dict[str, str]) -> MaterializedViewSystem:
+    from repro.xmltree import build_tree
+
+    system = MaterializedViewSystem(
+        encode_tree(build_tree(("b", ["t", ("s", ["t"]), ("s", ["t"])]))),
+        telemetry=Telemetry.create(_TickingClock()),
+    )
+    system.register_views(views)
+    return system
+
+
+def test_unanswerable_reads_observe_lookup_and_answer_latency():
+    from repro.errors import ViewNotAnswerableError
+
+    system = _ticking_book_system({"VT": "//b/t"})
+    for cache, lookups in (("cold", 1), ("warm", 2)):
+        with pytest.raises(ViewNotAnswerableError):
+            system.answer("//s/t")
+        latency = system._answer_hist.view(cache)
+        assert latency.count == 1 and latency.sum > 0.0
+        lookup = system._stage_hist.view("lookup")
+        assert lookup.count == lookups and lookup.sum > 0.0
+    assert system.stats()["stage_seconds"]["lookup"] > 0.0
+
+
+def test_empty_rewrite_charges_its_refine_time():
+    # No s has a p child: the view stores no fragment, so refinement
+    # ends the rewrite early with an empty answer.
+    system = _ticking_book_system({"VP": "//s/p"})
+    outcome = system.answer("//s/p")
+    assert outcome.codes == [] == system.direct_codes("//s/p")
+    assert outcome.stage_seconds["refine"] > 0.0
+    assert outcome.stage_seconds["join"] == 0.0
+    assert outcome.stage_seconds["extract"] == 0.0
+    assert system.stats()["stage_seconds"]["refine"] > 0.0
+
+
 def test_metrics_exposition_covers_the_catalog(small_system):
     small_system.answer("//person/name")
     small_system.answer("//person/name")
@@ -650,17 +696,20 @@ class _StallEngine:
 
 def test_queue_full_rejection_increments_counter_and_retry_after():
     engine = _StallEngine()
-    scheduler = QueryScheduler(
-        engine, workers=1, queue_limit=1, coalesce=False
-    )
+    scheduler = QueryScheduler(engine, workers=1, queue_limit=1)
     try:
-        def occupy() -> None:
+        def occupy(query: str) -> None:
             try:
-                scheduler.submit("//a/b", timeout=10.0)
+                scheduler.submit(query, timeout=10.0)
             except (AdmissionRejectedError, DeadlineExceededError):
                 pass
 
-        threads = [threading.Thread(target=occupy) for _ in range(2)]
+        # Distinct queries, so neither joins the other's flight: one
+        # holds the worker, the other the queue slot.
+        threads = [
+            threading.Thread(target=occupy, args=(query,))
+            for query in ("//a/b", "//a/e")
+        ]
         for thread in threads:
             thread.start()
         assert engine.entered.wait(timeout=5.0)
