@@ -257,6 +257,12 @@ def check_patched_fragments(
     child order, ``dewey`` and ``dewey_packed``, with a parentless
     root.  The in-memory copy is what reads use, so it must not drift
     from the bytes.
+
+    The KV store, written through with only what a patch changed,
+    must hold exactly the list: one fragment key per listed fragment,
+    its value the fragment's payload, no stray key, and a manifest
+    whose count and total match the list.  A drift here stays unseen
+    until a reopen reads the store back.
     """
     from ..matching.evaluate import evaluate
     from ..storage.serialize import encode_dewey, encode_fragment
@@ -300,6 +306,25 @@ def check_patched_fragments(
                 f"{fragment.code} holds a tree that is not its payload's "
                 f"decode: {problem}"
             )
+    written, manifest = system.fragments.stored(view.view_id)
+    listed = {fragment.packed: fragment.payload for fragment in stored}
+    if written != listed or len(listed) != len(stored):
+        stray = len(written.keys() - listed.keys())
+        differ = sum(
+            written.get(code) != payload for code, payload in listed.items()
+        )
+        raise ContractViolation(
+            f"{context}: view {view.view_id!r} KV store diverges from its "
+            f"{len(stored)} listed fragment(s) ({len(listed)} distinct "
+            f"codes): {stray} stray key(s), {differ} missing or with "
+            f"other bytes"
+        )
+    if manifest != (len(stored), recorded, False):
+        raise ContractViolation(
+            f"{context}: view {view.view_id!r} KV manifest {manifest} does "
+            f"not match its {len(stored)} listed fragment(s) of {recorded} "
+            f"bytes"
+        )
 
 
 def _tree_drift(

@@ -461,12 +461,16 @@ class MaterializedViewSystem:
     ) -> "MaterializedViewSystem":
         """Rebuild a system from a store written in an earlier session.
 
-        Fragments are *not* re-materialized: view definitions and
-        manifests are read back, VFILTER is reconstructed from the
-        definitions, and capped views stay excluded — the same state as
-        after the original ``register_view`` calls, minus the base-data
-        evaluation cost.  Plan cache and memo start empty (they are
-        in-memory artifacts of one session).  The rebuilt registry is
+        Fragments are *not* re-materialized: view definitions are read
+        back, the fragment store loads every view's manifest and
+        fragment list as it opens (no read goes to the KV store
+        afterwards), VFILTER is reconstructed from the definitions, and
+        capped views stay excluded — the same state as after the
+        original ``register_view`` calls, minus the base-data
+        evaluation cost.  The fragments are decoded under
+        ``document``'s schema, which must be the one they were written
+        under.  Plan cache and memo start empty (they are in-memory
+        artifacts of one session).  The rebuilt registry is
         staged off to the side and published as one epoch, so a reader
         handed the system object mid-reopen would see either the empty
         initial epoch or the complete catalog, never a prefix.

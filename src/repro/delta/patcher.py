@@ -22,14 +22,15 @@ codes, once per packed code per edit: every view storing that code
 holds the same :class:`Fragment`, so its tree and label index are
 built at most once and no later read decodes it.
 Everything else reuses the stored fragment, payload bytes and decoded
-subtree included.  The splice works by bisection on the view's
-code-ordered list: one cut for the replaced range and one probe per
-depth of the anchor for the ancestor fragments, so an edit does not
-visit every stored fragment.  The result is exactly the code-ordered
-layout :meth:`FragmentStore.materialize` produces — the
+subtree included, and is not written to the KV store again.  The
+splice works by bisection on the view's code-ordered list: one cut
+for the replaced range and one probe per depth of the anchor for the
+ancestor fragments, so an edit does not visit every stored fragment.
+The result is exactly the code-ordered layout
+:meth:`FragmentStore.materialize` produces — the
 ``XMVR_CHECK=1`` contract asserts byte-identity against a fresh
-re-materialization after every patch, and that every built tree
-equals a decode of its payload.
+re-materialization after every patch, that every built tree equals
+a decode of its payload, and that the KV store holds exactly the list.
 
 Cap accounting matches ``materialize``: if the patched payloads exceed
 ``cap_bytes`` the view is marked capped and the caller evicts it from
@@ -122,13 +123,15 @@ class FragmentPatcher:
             ),
             key=_NODE_PACKED,
         )
-        spliced = [self._fragment(node, encoded) for node in fresh]
-        merged = stored[:start] + spliced + stored[stop:]
+        # Only these reach the KV store: cut ones go, written ones are put.
+        cut = stored[start:stop]
+        written = [self._fragment(node, encoded) for node in fresh]
+        merged = stored[:start] + written + stored[stop:]
         # The stored total, tracked through the splice.
         total = (
             self.fragments.fragment_bytes(view.view_id)
-            + sum(map(_STORED_BYTES, spliced))
-            - sum(map(_STORED_BYTES, stored[start:stop]))
+            + sum(map(_STORED_BYTES, written))
+            - sum(map(_STORED_BYTES, cut))
         )
         # Fragments rooted at an ancestor-or-self of the anchor outside
         # the replaced range hold the edited content: one bisect per
@@ -147,8 +150,9 @@ class FragmentPatcher:
                     f"fragment root {old.code} vanished during patch"
                 )
             merged[index] = self._fragment(live, encoded)
+            written.append(merged[index])
             total += merged[index].stored_bytes - old.stored_bytes
-        return self.fragments.replace(view.view_id, merged, total)
+        return self.fragments.replace(view.view_id, merged, total, cut, written)
 
     def _fragment(
         self, node: XMLNode, encoded: dict[PackedCode, Fragment]

@@ -6,27 +6,27 @@ code.  The paper caps each view's materialized fragments at 128 KiB
 ("the same as [19]"), falling back to base-data evaluation for larger
 results; :class:`FragmentStore` enforces the same cap.
 
-Fragments are persisted in a :class:`~repro.storage.kvstore.KVStore`
-under keys ``f:<view_id>:<seq>`` with a per-view manifest ``m:<view_id>``
-recording the fragment count, cap state and total bytes.  Codes are kept
-sorted (document order), which the holistic join relies on.
+Each view's fragments are one in-memory list of :class:`Fragment`
+objects, sorted by code (document order, which the holistic join
+relies on): the only copy reads use.  The list is built when the view
+is written, and written through to a
+:class:`~repro.storage.kvstore.KVStore`: each fragment under a key
+made of the length-prefixed view id and its packed code, which no
+edit shifts, and a per-view manifest ``m:<view_id>`` recording the
+fragment count, cap state and total bytes.  Opening a store loads
+every view's list in one pass over the KV store.
 
 A :class:`Fragment` hands out one tree, complete and never changed
 after it is published: every node carries its extended Dewey code,
 stamped by the decode (:func:`~repro.storage.serialize.decode_fragment`,
 from the root code and the schema the payload was written under) or
 copied from the live tree by delta maintenance.  The first decode
-runs under one lock, so racing readers all see the same tree; the
-first read of a view builds its fragment list under the store's lock,
-so racing readers all get the same list.
+runs under one lock, so racing readers all see the same tree.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import chain, compress
-from itertools import count as naturals
-from operator import is_not
 from typing import Iterable, Iterator
 
 from ..errors import StorageError
@@ -71,7 +71,7 @@ class Fragment:
     published.  A handed-over fragment is one object shared by every
     view storing its code.  The per-depth packed prefixes and the
     label index of the subtree are computed once per object and
-    amortized across queries by the store's warm cache.
+    amortized across queries by the view's fragment list.
     """
 
     __slots__ = (
@@ -144,7 +144,12 @@ class Fragment:
 
 
 class FragmentStore:
-    """Fragment persistence for a set of materialized views."""
+    """Fragment persistence for a set of materialized views.
+
+    A read is a dict lookup: it neither touches the KV store nor takes
+    a lock.  Each write replaces a view's list whole, so a reader holds
+    the old list or the new one.
+    """
 
     def __init__(self, document: EncodedDocument,
                  store: KVStore | None = None,
@@ -158,51 +163,63 @@ class FragmentStore:
         self.store = store if store is not None else KVStore()  #: state: hard
         self.cap_bytes = cap_bytes  #: state: hard
         #: view_id -> (count, total_bytes, capped)
-        #: state: soft(derived-from=store?; rebuild=_load_manifests)
+        #: state: soft(derived-from=store?; rebuild=_load)
         self._manifests: dict[str, tuple[int, int, bool]] = {}
-        #: Serialises every write of the warm cache, so racing first
-        #: reads of a view build one list; the fill reads the payloads
-        #: from the KV store under it.
-        #: lock: blocking-allowed
-        self._lock = threading.Lock()
-        # Warm-read cache of Fragment objects (≤ cap_bytes per view, so
-        # memory stays bounded) — the analogue of Berkeley DB XML's page
-        # cache in the paper's setup.  Callers must not mutate the
-        # returned subtrees' structure.  A fragment delta maintenance
-        # re-encoded holds a copy of the document's subtree (equal to
-        # a decode of its payload, and shared by every view storing
-        # its code); :meth:`replace` refreshes it on each edit.
-        #: guarded-by: _lock (writes)
-        #: state: soft(derived-from=_manifests, document?; rebuild=fragments)
-        self._cache: dict[str, list[Fragment]] = {}
-        self._load_manifests()
+        # Each materialized view's fragments in code order (≤ cap_bytes
+        # per view).  A fragment delta maintenance re-encoded holds a
+        # copy of the document's subtree, shared by every view storing
+        # its code.
+        #: state: soft(derived-from=_manifests, document?; rebuild=_load)
+        self._lists: dict[str, list[Fragment]] = {}
+        self._load()
 
     # ------------------------------------------------------------------
     # keys
     # ------------------------------------------------------------------
     @staticmethod
-    def _fragment_key(view_id: str, seq: int) -> bytes:
-        return f"f:{view_id}:{seq:08d}".encode()
+    def _fragment_prefix(view_id: str) -> bytes:
+        """The prefix of every fragment key of ``view_id``; a packed
+        code completes the key.  The view id is length-prefixed, so no
+        view's keys extend another's."""
+        name = view_id.encode()
+        return b"f:" + encode_varint(len(name)) + name
 
     @staticmethod
     def _manifest_key(view_id: str) -> bytes:
         return f"m:{view_id}".encode()
 
-    def _load_manifests(self) -> None:
+    def _load(self) -> None:
+        """Read every manifest, then every view's fragment list in one
+        pass over the fragment keys; a view whose keys disagree with
+        its manifest's count raises :class:`StorageError`."""
         for key, value in self.store.scan_prefix(b"m:"):
-            view_id = key[2:].decode()
-            count, offset = decode_varint(value, 0)
-            total, offset = decode_varint(value, offset)
-            capped, _ = decode_varint(value, offset)
-            self._manifests[view_id] = (count, total, bool(capped))
+            self._manifests[key[2:].decode()] = _decode_manifest(value)
+        found: dict[str, list[tuple[PackedCode, bytes]]] = {}
+        for key, payload in self.store.scan_prefix(b"f:"):
+            length, offset = decode_varint(key, 2)
+            view_id = key[offset : offset + length].decode()
+            found.setdefault(view_id, []).append((key[offset + length :], payload))
+        schema = self.document.schema
+        for view_id, (count, _total, capped) in self._manifests.items():
+            entries = sorted(found.pop(view_id, ()))
+            if len(entries) != count:
+                raise StorageError(
+                    f"view {view_id!r} has {len(entries)} stored "
+                    f"fragment(s) but its manifest lists {count}"
+                )
+            if not capped:
+                self._lists[view_id] = [
+                    Fragment(decode_dewey(payload, 0)[0], payload, schema,
+                             packed=packed)
+                    for packed, payload in entries
+                ]
+        if found:
+            raise StorageError(
+                f"fragments stored for views without a manifest: {sorted(found)}"
+            )
 
     def _write_manifest(self, view_id: str) -> None:
-        count, total, capped = self._manifests[view_id]
-        payload = (
-            encode_varint(count)
-            + encode_varint(total)
-            + encode_varint(int(capped))
-        )
+        payload = b"".join(map(encode_varint, self._manifests[view_id]))
         self.store.put(self._manifest_key(view_id), payload)
 
     # ------------------------------------------------------------------
@@ -213,100 +230,80 @@ class FragmentStore:
         view_id: str,
         fragments: Iterator[tuple[DeweyCode, XMLNode]] | list[tuple[DeweyCode, XMLNode]],
     ) -> bool:
-        """Store fragments for ``view_id`` (sorted by code).
+        """Store fragments for ``view_id``: ``(code, node)`` pairs,
+        ``code`` the node's own, in any order.
 
         Returns True when everything fit under the cap; False when the
-        view was *capped* — its stored fragments are discarded and the
-        view is marked unmaterializable, mirroring the paper's policy of
-        not using views whose un-indexed fragments would exceed the
-        budget.
+        view was *capped* — nothing is stored and the view is marked
+        unmaterializable, mirroring the paper's policy of not using
+        views whose un-indexed fragments would exceed the budget.
         """
         if view_id in self._manifests:
             raise StorageError(f"view {view_id!r} already materialized")
         entries = sorted(fragments, key=lambda item: item[0])
         schema = self.document.schema
         total = 0
-        payloads: list[bytes] = []
+        written: list[Fragment] = []
         for code, root in entries:
             payload = encode_dewey(code) + encode_fragment(root, schema)
             total += len(payload)
             if total > self.cap_bytes:
                 return self._mark_capped(view_id)
-            payloads.append(payload)
-        self._store_payloads(view_id, payloads, total)
-        return True
+            written.append(
+                Fragment(code, payload, schema, packed=root.dewey_packed)
+            )
+        return self.replace(view_id, written, total, (), written)
 
     def _mark_capped(self, view_id: str) -> bool:
         self._manifests[view_id] = (0, 0, True)
-        # The warm cache is keyed off the manifest; a stale entry here
-        # would keep serving fragments for a view that no longer has
-        # any.  Today every caller funnels through drop() first, but
-        # the eviction must not depend on that remote invariant.
-        with self._lock:
-            self._cache.pop(view_id, None)
+        self._lists.pop(view_id, None)
         self._write_manifest(view_id)
         return False
 
-    def _store_payloads(
-        self, view_id: str, payloads: list[bytes], total: int
-    ) -> None:
-        for seq, payload in enumerate(payloads):
-            self.store.put(self._fragment_key(view_id, seq), payload)
-        self._manifests[view_id] = (len(payloads), total, False)
-        with self._lock:
-            self._cache.pop(view_id, None)
-        self._write_manifest(view_id)
-
     def replace(
-        self, view_id: str, fragments: list[Fragment], total: int
+        self,
+        view_id: str,
+        fragments: list[Fragment],
+        total: int,
+        cut: Iterable[Fragment],
+        written: Iterable[Fragment],
     ) -> bool:
-        """Swap a view's stored fragments for patched ones.
+        """Make ``fragments`` the view's list and write it through.
 
-        The delta-maintenance counterpart of :meth:`materialize` for an
-        *already materialized* view: ``fragments`` must be in packed-code
-        order, with payloads (each ``encode_dewey(code) +
-        encode_fragment(root, schema)``) exactly the bytes a fresh
-        materialization would store, and ``total`` their summed
-        :attr:`Fragment.stored_bytes` (a patch tracks it through its
-        splice rather than summing every fragment).  The list becomes
-        the warm cache, so fragments a patch kept stay decoded, and
-        those it encoded from the live tree arrive with their trees.
-        Cap accounting matches :meth:`materialize` — False marks the
-        view capped and discards everything.
+        ``fragments`` must be in packed-code order, with payloads (each
+        ``encode_dewey(code) + encode_fragment(root, schema)``) exactly
+        the bytes a fresh materialization would store, and ``total``
+        their summed :attr:`Fragment.stored_bytes` (a patch tracks it
+        through its splice rather than summing every fragment).
+        ``cut`` (fragments of the old list gone from the new one) are
+        deleted from the KV store, then ``written`` (those new to it)
+        are put — in that order, as a written fragment may take a cut
+        one's code — and the manifest is rewritten once.  Cap
+        accounting matches :meth:`materialize` — False marks the view
+        capped and discards everything.
         """
         if total > self.cap_bytes:
             self.drop(view_id)
             return self._mark_capped(view_id)
-        stored = self._cache.get(view_id)
-        count = self._manifests[view_id][0]
-        changed: Iterable[int] = range(len(fragments))
-        if stored is not None:
-            # A kept fragment at its old position needs no write; the
-            # identity test runs in C across the whole list.
-            changed = chain(
-                compress(naturals(), map(is_not, stored, fragments)),
-                range(len(stored), len(fragments)),
-            )
-        for seq in changed:
-            self.store.put(self._fragment_key(view_id, seq), fragments[seq].payload)
-        for seq in range(len(fragments), count):
-            self.store.delete(self._fragment_key(view_id, seq))
+        prefix = self._fragment_prefix(view_id)
+        for fragment in cut:
+            self.store.delete(prefix + fragment.packed)
+        for fragment in written:
+            self.store.put(prefix + fragment.packed, fragment.payload)
         self._manifests[view_id] = (len(fragments), total, False)
-        with self._lock:
-            self._cache[view_id] = fragments
+        self._lists[view_id] = fragments
         self._write_manifest(view_id)
         return True
 
     def drop(self, view_id: str) -> None:
         """Remove a view's fragments and manifest."""
         manifest = self._manifests.pop(view_id, None)
-        with self._lock:
-            self._cache.pop(view_id, None)
+        listed = self._lists.pop(view_id, [])
         if manifest is None:
             return
-        count = manifest[0]
-        for seq in range(count):
-            self.store.delete(self._fragment_key(view_id, seq))
+        prefix = self._fragment_prefix(view_id)
+        for fragment in listed:
+            self.store.delete(prefix + fragment.packed)
         self.store.delete(self._manifest_key(view_id))
 
     # ------------------------------------------------------------------
@@ -331,36 +328,25 @@ class FragmentStore:
         return manifest[1] if manifest else 0
 
     def fragments(self, view_id: str) -> list[Fragment]:
-        """Return the view's fragments in document (code) order.
+        """Return the view's fragments in document (code) order, empty
+        for a view without any (a capped one included).  The list and
+        its subtrees are shared, so treat them as read-only."""
+        return self._lists.get(view_id, [])
 
-        Repeated reads are served from the warm cache; the returned
-        subtrees are shared, so treat them as read-only.  The first
-        read of a view fills the cache double-checked under the store
-        lock, so racing first reads read the payloads once and share
-        one list.
-        """
-        cached = self._cache.get(view_id)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._cache.get(view_id)
-            if cached is not None:
-                return cached
-            manifest = self._manifests.get(view_id)
-            if manifest is None or manifest[2]:
-                return []
-            schema = self.document.schema
-            result: list[Fragment] = []
-            for seq in range(manifest[0]):
-                payload = self.store.get(self._fragment_key(view_id, seq))
-                if payload is None:
-                    raise StorageError(
-                        f"missing fragment {seq} for view {view_id!r}"
-                    )
-                code, _ = decode_dewey(payload, 0)
-                result.append(Fragment(code, payload, schema))
-            self._cache[view_id] = result
-        return result
+    def stored(
+        self, view_id: str
+    ) -> tuple[dict[PackedCode, bytes], tuple[int, int, bool] | None]:
+        """What the KV store holds for ``view_id``, read back from it:
+        the fragment payloads by packed code, and the manifest (None
+        without one).  For checking the write-through; reads never
+        call it."""
+        prefix = self._fragment_prefix(view_id)
+        payloads = {
+            key[len(prefix) :]: payload
+            for key, payload in self.store.scan_prefix(prefix)
+        }
+        value = self.store.get(self._manifest_key(view_id))
+        return payloads, None if value is None else _decode_manifest(value)
 
     def codes(self, view_id: str) -> list[DeweyCode]:
         """Return just the sorted fragment root codes."""
@@ -368,3 +354,11 @@ class FragmentStore:
 
     def view_ids(self) -> list[str]:
         return sorted(self._manifests)
+
+
+def _decode_manifest(value: bytes) -> tuple[int, int, bool]:
+    """A manifest's ``(count, total_bytes, capped)``."""
+    count, offset = decode_varint(value, 0)
+    total, offset = decode_varint(value, offset)
+    capped, _ = decode_varint(value, offset)
+    return count, total, bool(capped)

@@ -283,6 +283,45 @@ def test_drifted_fragment_tree_caught_by_patched_fragments(drift):
         contracts.check_patched_fragments(system, view, "drifted")
 
 
+@pytest.mark.parametrize(
+    "skipped, match",
+    [
+        ("delete", "1 stray key"),
+        ("fragment put", "1 missing"),
+        ("manifest put", "manifest"),
+    ],
+)
+def test_write_through_drift_caught_by_patched_fragments(
+    monkeypatch, skipped, match
+):
+    # The KV store is written through with only what a patch changed;
+    # a skipped delete, fragment put or manifest put must fire.
+    doc = encode_tree(build_tree(
+        ("b", ["t", ("s", ["t", "p"]), ("s", ["t", "p"]), ("s", ["t", "p"])])
+    ))
+    system = MaterializedViewSystem(doc)
+    system.register_view("vp", "//s/p")
+    kv = system.fragments.store
+    real_put = kv.put
+
+    def put(key, value):
+        if skipped != ("manifest put" if key.startswith(b"m:") else "fragment put"):
+            real_put(key, value)
+
+    monkeypatch.setattr(kv, "put", put)
+    if skipped == "delete":
+        monkeypatch.setattr(kv, "delete", lambda key: True)
+    editor = DocumentEditor(system)
+    first, middle = doc.tree.root.children[1:3]
+    with pytest.raises(ContractViolation, match=match):
+        if skipped == "delete":
+            # Cuts one fragment ahead of another.
+            editor.delete_subtree(middle.dewey)
+        else:
+            # Writes one fragment.
+            editor.insert_subtree(first.dewey, XMLNode("p"))
+
+
 def test_registration_is_structurally_invalidating():
     # The epoch design makes register_view immune to a broken
     # _invalidate_plans: the cached negative plan below dies with its

@@ -56,6 +56,7 @@ from repro.workload.querygen import (
     generate_positive,
 )
 from repro.workload.xmark import generate_xmark_document
+from repro.storage import KVStore
 from repro.storage import fragments as fragments_module
 from repro.storage.serialize import (
     decode_dewey,
@@ -887,6 +888,171 @@ def test_view_evicted_by_the_cap_stays_out_of_later_edits(book_doc):
     assert [view.view_id for view in system.materialized_views()] == ["W"]
     assert system.try_answer("//s[t]/p") is None
     assert system.answer("//s/f").codes == system.direct_codes("//s/f")
+
+
+# ----------------------------------------------------------------------
+# the KV store is written through with what an edit changed
+# ----------------------------------------------------------------------
+class _LoggingKV(KVStore):
+    """Records every put."""
+
+    def __init__(self, path: str | None = None) -> None:
+        super().__init__(path)
+        self.puts: list[tuple[bytes, bytes]] = []
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.puts.append((key, value))
+        super().put(key, value)
+
+
+def _clone(node: XMLNode) -> XMLNode:
+    twin = XMLNode(node.label, node.text, dict(node.attributes))
+    for child in node.children:
+        twin.add_child(_clone(child))
+    return twin
+
+
+def _edit_sites(system: MaterializedViewSystem, count: int, seed: int) -> list[XMLNode]:
+    """``count`` non-nested small subtrees at depth >= 3."""
+    candidates = [
+        node
+        for node in system.document.tree.iter_nodes()
+        if node.depth() >= 3 and node.subtree_size() <= 6
+    ]
+    random.Random(seed).shuffle(candidates)
+    chosen: list[XMLNode] = []
+    for node in candidates:
+        if not any(
+            other.is_ancestor_or_self_of(node) or node.is_ancestor_of(other)
+            for other in chosen
+        ):
+            chosen.append(node)
+        if len(chosen) == count:
+            break
+    return chosen
+
+
+def test_edit_writes_only_the_fragments_it_changed():
+    """Each edit puts into the KV store the fragments its patch wrote
+    and one manifest per patched view: nothing for a fragment it kept,
+    wherever the splice moved that fragment in its view's list."""
+    kv = _LoggingKV()
+    system = MaterializedViewSystem(
+        generate_xmark_document(scale=0.05, seed=42), store=kv
+    )
+    system.register_views(dict(SEED_VIEWS))
+    generator = QueryGenerator(system.document.schema, PROCESSING_CONFIG, seed=42)
+    patterns = generate_positive(generator, system.document.tree, 30)
+    system.register_views(
+        {f"G{index}": pattern for index, pattern in enumerate(patterns)}
+    )
+    editor = DocumentEditor(system)
+    shifted = 0
+    for site in _edit_sites(system, 8, seed=5):
+        parent, twin = site.parent, _clone(site)
+        for edit in (
+            lambda: editor.delete_subtree(site.dewey),
+            lambda: editor.insert_subtree(parent.dewey, twin),
+        ):
+            before = {
+                view.view_id: system.fragments.fragments(view.view_id)
+                for view in system.materialized_views()
+            }
+            kv.puts.clear()
+            report = edit()
+            written = []
+            for entry in report.views:
+                old = before[entry.view_id]
+                kept = {id(fragment) for fragment in old}
+                new = system.fragments.fragments(entry.view_id)
+                written += [f.payload for f in new if id(f) not in kept]
+                shifted += len(new) != len(old) and new[-1] is old[-1]
+            manifests = [key for key, _ in kv.puts if key.startswith(b"m:")]
+            assert len(manifests) == len(report.views)
+            assert sorted(
+                value for key, value in kv.puts if not key.startswith(b"m:")
+            ) == sorted(written)
+    # Some splices changed a view's fragment count ahead of fragments
+    # they kept: a layout keyed by list position rewrites those.
+    assert shifted > 0
+
+
+def _book_system(book_doc, kv: KVStore) -> MaterializedViewSystem:
+    """The book document's views, none with nested answers, under a
+    cap that ``B`` (the whole document) fills but for a few bytes."""
+    views = {
+        "B": "/b", "P": "//s/p", "TP": "//s[t]/p", "I": "//f/i",
+        "F": "//s/f", "PF": "//s[p]/f", "T": "/b/t",
+    }
+    probe = MaterializedViewSystem(book_doc)
+    probe.register_views(views)
+    system = MaterializedViewSystem(
+        book_doc, store=kv, fragment_cap=probe.fragments.fragment_bytes("B") + 12
+    )
+    assert len(system.register_views(views)) == len(views)
+    return system
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reopen_after_edits_reads_back_every_view(book_doc, tmp_path, seed):
+    """Seeded deletes and in-schema inserts, one schema-violating insert
+    (every code changes) and inserts until the cap evicts ``B``, on a
+    file-backed store: a reopen over the same edited document reads
+    back each view's codes and payload bytes, and answers like
+    evaluation; the evicted view leaves no fragment key."""
+    rng = random.Random(seed)
+    path = str(tmp_path / "views.kv")
+    with KVStore(path) as kv:
+        system = _book_system(book_doc, kv)
+        editor = DocumentEditor(system)
+        tree = system.document.tree
+
+        def seeded_edit():
+            nodes = [node for node in tree.iter_nodes() if node.parent is not None]
+            if rng.random() < 0.5 and len(nodes) > 6:
+                victim = rng.choice([node for node in nodes if not node.children])
+                editor.delete_subtree(victim.dewey)
+                return
+            parent = rng.choice([node for node in tree.iter_nodes() if node.children])
+            subtree = _admitted_subtree(rng, system.document.schema, parent)
+            assert not editor.insert_subtree(parent.dewey, subtree).full_reencode
+
+        for _ in range(6):
+            seeded_edit()
+        parent = rng.choice(list(tree.iter_nodes()))
+        assert editor.insert_subtree(parent.dewey, XMLNode("z")).full_reencode
+        for _ in range(3):
+            seeded_edit()
+        for _ in range(20):
+            if system.fragments.is_capped("B"):
+                break
+            section = XMLNode("s")
+            for label in "tppp":
+                section.new_child(label)
+            editor.insert_subtree(tree.root.dewey, section)
+        assert system.fragments.is_capped("B")
+        assert system.fragments.stored("B") == ({}, (0, 0, True))
+        materialized = sorted(view.view_id for view in system.materialized_views())
+        expected = {
+            view_id: [f.payload for f in system.fragments.fragments(view_id)]
+            for view_id in materialized
+        }
+        codes = {view_id: system.fragments.codes(view_id) for view_id in materialized}
+    with KVStore(path) as kv:
+        reopened = MaterializedViewSystem.reopen(system.document, kv)
+        assert [view.view_id for view in reopened.materialized_views()] == materialized
+        assert reopened.fragments.is_capped("B")
+        assert reopened.fragments.stored("B") == ({}, (0, 0, True))
+        for view in reopened.materialized_views():
+            view_id = view.view_id
+            assert reopened.fragments.codes(view_id) == codes[view_id]
+            assert [
+                f.payload for f in reopened.fragments.fragments(view_id)
+            ] == expected[view_id]
+            assert expected[view_id] == _expected_payloads(reopened, view)
+            assert reopened.answer(view.pattern).codes == reopened.direct_codes(
+                view.pattern
+            )
 
 
 # ----------------------------------------------------------------------

@@ -109,10 +109,10 @@ class TestRefreshFailure:
         _warm(system)
         original = system.fragments.replace
 
-        def boom(view_id, fragments, total):
+        def boom(view_id, *written):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, fragments, total)
+            return original(view_id, *written)
 
         monkeypatch.setattr(system.fragments, "replace", boom)
         target = system.answer("//s[f//i]/p").codes[0]
@@ -132,10 +132,10 @@ class TestRefreshFailure:
         _warm(system)
         original = system.fragments.replace
 
-        def boom(view_id, fragments, total):
+        def boom(view_id, *written):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, fragments, total)
+            return original(view_id, *written)
 
         monkeypatch.setattr(system.fragments, "replace", boom)
         target = system.answer("//s[f//i]/p").codes[0]
@@ -157,7 +157,7 @@ class TestRefreshFailure:
         monkeypatch.setattr(
             system.fragments,
             "replace",
-            lambda view_id, fragments, total: False,  # every view outgrows the cap
+            lambda view_id, *written: False,  # every view outgrows the cap
         )
         first_s = system.document.tree.root.children[1]
         report = editor.insert_subtree(first_s.dewey, XMLNode("p"))
@@ -176,10 +176,10 @@ class TestRefreshFailure:
         _warm(system)
         original = system.fragments.replace
 
-        def boom(view_id, fragments, total):
+        def boom(view_id, *written):
             if view_id == "V2":
                 raise RuntimeError("store failed")
-            return original(view_id, fragments, total)
+            return original(view_id, *written)
 
         monkeypatch.setattr(system.fragments, "replace", boom)
         first_s = system.document.tree.root.children[1]
@@ -201,10 +201,10 @@ class TestRefreshFailure:
         editor = DocumentEditor(system)
         original = system.fragments.replace
 
-        def boom(view_id, fragments, total):
+        def boom(view_id, *written):
             if view_id == "V1":
                 raise RuntimeError("store failed")
-            return original(view_id, fragments, total)
+            return original(view_id, *written)
 
         monkeypatch.setattr(system.fragments, "replace", boom)
         with pytest.raises(RuntimeError):
@@ -220,7 +220,7 @@ class TestRefreshFailure:
         monkeypatch.setattr(
             system.fragments,
             "replace",
-            lambda view_id, fragments, total: False,
+            lambda view_id, *written: False,
         )
         first_s = system.document.tree.root.children[1]
         report = editor.insert_subtree(first_s.dewey, XMLNode("z"))

@@ -1,4 +1,5 @@
-"""Tests for the fragment store's warm-read cache and related behavior."""
+"""Tests for the fragment store's per-view fragment lists, which every
+read shares, and related behavior."""
 
 from repro.matching import evaluate
 from repro.storage import FragmentStore, KVStore

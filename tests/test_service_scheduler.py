@@ -17,6 +17,8 @@ import pytest
 
 from repro.core.system import AnswerOutcome, MaterializedViewSystem
 from repro.errors import ViewNotAnswerableError, XPathSyntaxError
+from repro.service import scheduler as scheduler_module
+from repro.service.scheduler import _Flight
 from repro.service import (
     AdmissionRejectedError,
     DeadlineExceededError,
@@ -398,18 +400,73 @@ class _SchedulerClient:
         return 200
 
 
-def _serve_cell(workers: int, skewed: bool):
+class _CountingEvent(threading.Event):
+    """A flight's latch that records the timeout of every wait on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.waits: list[float | None] = []
+
+    def wait(self, timeout=None):
+        self.waits.append(timeout)
+        return super().wait(timeout)
+
+
+class _OwnedLock:
+    """A lock that knows its holder, standing in for the scheduler's."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.owner: int | None = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.owner = None
+        self._lock.release()
+
+
+class _WatchedEngine(SnapshotEngine):
+    """A real engine that counts the answers it derives while the
+    answering thread holds the scheduler's lock."""
+
+    def __init__(self, system) -> None:
+        super().__init__(system)
+        self.lock = _OwnedLock()
+        self.answered_under_lock = 0
+
+    def answer(self, query, strategy="HV"):
+        if self.lock.owner == threading.get_ident():
+            self.answered_under_lock += 1
+        return super().answer(query, strategy)
+
+
+def _serve_cell(workers: int, skewed: bool, monkeypatch):
     """200 closed-loop requests through a scheduler over a fresh
     derivation-bound system (plan cache off: every flight is a cold
-    answer); returns the load report, the scheduler's counters and how
-    many answers the engine derived."""
+    answer); returns the load report, the scheduler's counters, how
+    many answers the engine derived, every flight and the engine."""
     system = xmark_twin(plan_cache_size=0)
     pool = build_query_mix(system, limit=12)
     clients = 1 if workers == 1 else 8 * workers
+    flights = []
+
+    class CountedFlight(_Flight):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            self.done = _CountingEvent()
+            flights.append(self)
+
+    monkeypatch.setattr(scheduler_module, "_Flight", CountedFlight)
+    engine = _WatchedEngine(system)
     scheduler = QueryScheduler(
-        SnapshotEngine(system), workers=workers,
+        engine, workers=workers,
         queue_limit=4 * clients, default_timeout=120.0,
     )
+    scheduler._lock = engine.lock
     answers_before = system.stats()["answers"]
     try:
         report = run_closed_loop(
@@ -423,25 +480,31 @@ def _serve_cell(workers: int, skewed: bool):
         stats = scheduler.stats()
     finally:
         scheduler.close()
-    return report, stats, system.stats()["answers"] - answers_before
+    answered = system.stats()["answers"] - answers_before
+    return report, stats, answered, flights, engine
 
 
-def test_real_engine_serves_every_request_once_per_flight():
+def test_real_engine_serves_every_request_once_per_flight(monkeypatch):
     cells = {
-        (workers, skewed): _serve_cell(workers, skewed)
+        (workers, skewed): _serve_cell(workers, skewed, monkeypatch)
         for workers, skewed in [(1, True), (8, True), (8, False)]
     }
-    for (workers, skewed), (report, stats, answered) in cells.items():
+    for (workers, skewed), cell in cells.items():
+        report, stats, answered, flights, engine = cell
         assert report.requests == report.ok == 200, report.status_counts
         # A coalesced request waits on another's flight and derives
         # nothing: the engine answers exactly once per flight.
         assert answered == stats["submitted"] - stats["coalesced"]
+        assert len(flights) == answered
         if workers > 1 and skewed:
             assert stats["coalesced"] > 0
-    # Waiters park on their flight's event rather than serialising: a
-    # lock convoy or polling waiters would sink 8 workers under skew
-    # well below one worker's throughput.
-    single, skewed_pool = cells[(1, True)][0], cells[(8, True)][0]
-    assert skewed_pool.throughput >= 0.5 * single.throughput, (
-        skewed_pool.throughput, single.throughput
-    )
+        # No convoy, counted rather than timed: every waiter blocks on
+        # its flight's event exactly once, for its whole budget (a
+        # polling waiter would wait many times on short timeouts), and
+        # no answer is derived under the scheduler's lock (which would
+        # serialise every worker and every arriving request).
+        assert sum(flight.waiters for flight in flights) == stats["submitted"]
+        for flight in flights:
+            assert len(flight.done.waits) == flight.waiters
+            assert all(timeout > 60.0 for timeout in flight.done.waits)
+        assert engine.answered_under_lock == 0

@@ -254,6 +254,23 @@ class TestKVStore:
         store.close()
 
 
+class _CountingKV(KVStore):
+    """An in-memory store that counts the reads of each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads: dict[bytes, int] = {}
+
+    def get(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().get(key)
+
+    def fragment_reads(self) -> list[int]:
+        return sorted(
+            count for key, count in self.reads.items() if key.startswith(b"f:")
+        )
+
+
 class TestFragmentStore:
     def _entries(self, tree):
         doc = encode_tree(tree)
@@ -298,21 +315,21 @@ class TestFragmentStore:
         store.drop("v")  # idempotent
 
     def test_manifest_writers_evict_warm_cache(self):
-        # White-box regression for the L15 gap: a manifest rewrite
-        # (store or mark-capped) must drop the view's warm-cache entry,
-        # not rely on every caller routing through drop() first.
+        # White-box regression for the L15 gap: a manifest write
+        # (store or mark-capped) must set or drop the view's fragment
+        # list, not rely on every caller routing through drop() first.
         tree = build_tree(("r", [("b", ["c"])]))
         entries, doc = self._entries(tree)
         store = FragmentStore(doc)
         sentinel = object()
-        store._cache["v"] = [sentinel]
+        store._lists["v"] = [sentinel]
         store.materialize("v", entries)
         fragments = store.fragments("v")
         assert sentinel not in fragments
         assert [f.code for f in fragments] == [e[0] for e in entries]
 
         capped = FragmentStore(doc, cap_bytes=1)
-        capped._cache["big"] = [sentinel]
+        capped._lists["big"] = [sentinel]
         assert not capped.materialize("big", entries)
         assert capped.fragments("big") == []
 
@@ -331,27 +348,13 @@ class TestFragmentStore:
 
     def test_racing_first_reads_build_one_list(self):
         import threading
-        import time
-
-        class CountingKV(KVStore):
-            """Counts fragment reads and widens each one, so racing
-            first reads overlap."""
-
-            def __init__(self):
-                super().__init__()
-                self.reads: dict[bytes, int] = {}
-
-            def get(self, key):
-                if key.startswith(b"f:"):
-                    self.reads[key] = self.reads.get(key, 0) + 1
-                    time.sleep(0.005)
-                return super().get(key)
 
         tree = build_tree(("r", [("b", ["c"]), ("b", []), ("b", ["d"])]))
         entries, doc = self._entries(tree)
-        kv = CountingKV()
+        kv = _CountingKV()
         FragmentStore(doc, kv).materialize("v", entries)
-        store = FragmentStore(doc, kv)  # reopened: an empty warm cache
+        store = FragmentStore(doc, kv)  # reopened: the open loads the list
+        assert kv.fragment_reads() == [1] * len(entries)
         readers = 4
         barrier = threading.Barrier(readers)
         lists = []
@@ -368,7 +371,34 @@ class TestFragmentStore:
         assert len(lists) == readers
         assert all(fragments is lists[0] for fragments in lists)
         assert [f.code for f in lists[0]] == [e[0] for e in entries]
-        assert sorted(kv.reads.values()) == [1] * len(entries)
+        assert kv.fragment_reads() == [1] * len(entries)
+
+    def test_open_rejects_keys_that_disagree_with_the_manifest(self):
+        tree = build_tree(("r", [("b", ["c"]), ("b", [])]))
+        entries, doc = self._entries(tree)
+        kv = KVStore()
+        FragmentStore(doc, kv).materialize("v", entries)
+        (key, _payload), _ = kv.scan_prefix(b"f:")
+        kv.delete(key)
+        with pytest.raises(StorageError, match="manifest lists 2"):
+            FragmentStore(doc, kv)
+
+    def test_view_ids_that_extend_each_other_keep_apart(self):
+        # "v" is a prefix of "v1"; the keys of one must not read as
+        # the other's at open or on drop.
+        tree = build_tree(("r", [("b", ["c"]), ("b", [])]))
+        entries, doc = self._entries(tree)
+        kv = KVStore()
+        store = FragmentStore(doc, kv)
+        store.materialize("v", entries[:1])
+        store.materialize("v1", entries)
+        store.drop("v")
+        reopened = FragmentStore(doc, kv)
+        assert reopened.fragments("v") == []
+        assert reopened.codes("v1") == [e[0] for e in entries]
+        assert [f.payload for f in reopened.fragments("v1")] == [
+            f.payload for f in store.fragments("v1")
+        ]
 
     def test_stored_fragment_decodes_with_the_document_codes(self):
         # Deleting the first c leaves the second one's component
@@ -406,6 +436,32 @@ class TestFragmentStore:
         store.materialize("v", entries)
         codes = store.codes("v")
         assert codes == sorted(codes)
+
+
+def test_reads_after_registration_make_no_kv_reads(book_doc):
+    """A view's fragment list is built when it is written (and loaded
+    when a store is reopened), so reads, cold or warm, read nothing
+    from the KV store."""
+    from repro import MaterializedViewSystem
+
+    kv = _CountingKV()
+    system = MaterializedViewSystem(book_doc, store=kv)
+    system.register_views(
+        {"V1": "//s[t]/p", "V2": "//s[f]/t", "V4": "//s[p]/f", "V5": "//s"}
+    )
+    queries = ["//s[f//i][t]/p", "//s[t]/p", "//s/f/i", "//s[p]/f"]
+    kv.reads.clear()
+    for _ in range(2):
+        for query in queries:
+            for strategy in ("HV", "MN"):
+                system.try_answer(query, strategy)
+    assert kv.reads == {}
+    reopened = MaterializedViewSystem.reopen(book_doc, kv)
+    kv.reads.clear()
+    for query in queries:
+        outcome = reopened.answer(query)
+        assert outcome.codes == reopened.direct_codes(query)
+    assert kv.reads == {}
 
 
 class TestKVStoreConcurrency:

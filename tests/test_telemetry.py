@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -710,20 +711,20 @@ def test_queue_full_rejection_increments_counter_and_retry_after():
             threading.Thread(target=occupy, args=(query,))
             for query in ("//a/b", "//a/e")
         ]
-        for thread in threads:
-            thread.start()
+        threads[0].start()
         assert engine.entered.wait(timeout=5.0)
-        # Worker busy + queue slot taken: the next admission must bounce.
-        deadline = None
-        for _ in range(50):
-            try:
-                scheduler.submit("//c/d", timeout=0.05)
-            except AdmissionRejectedError as error:
-                deadline = error
+        # The probe must not take the queue slot before the second
+        # flight does: a timed-out probe's flight keeps the slot, and
+        # every later probe joins it instead of bouncing.
+        threads[1].start()
+        for _ in range(500):
+            if scheduler.stats()["queue_depth"] == 1:
                 break
-            except DeadlineExceededError:
-                continue
-        assert deadline is not None, "queue never filled"
+            time.sleep(0.01)
+        # Worker busy + queue slot taken: the next admission must bounce.
+        with pytest.raises(AdmissionRejectedError) as excinfo:
+            scheduler.submit("//c/d", timeout=0.05)
+        deadline = excinfo.value
         assert deadline.retry_after > 0.0
         rejected = scheduler.telemetry.registry.counter(
             "repro_requests_rejected_total", "", ("reason",)
