@@ -252,11 +252,13 @@ def check_patched_fragments(
     the splice — is a patcher bug, never a caller error.
 
     Every fragment whose tree is already built (decoded by a read, or
-    handed over by the patcher as a copy of the live subtree) must
-    also equal a decode of its payload: labels, text, attributes,
-    child order, ``dewey`` and ``dewey_packed``, with a parentless
-    root.  The in-memory copy is what reads use, so it must not drift
-    from the bytes.
+    handed over by the patcher, spliced or copied from the live
+    subtree) must also equal a decode of its payload: labels, text,
+    attributes, child order, ``dewey`` and ``dewey_packed``, with a
+    parentless root and every child's ``parent`` the node that lists
+    it (a splice shares subtrees with the retired tree and re-points
+    them).  The in-memory copy is what reads use, so it must not
+    drift from the bytes.
 
     The KV store, written through with only what a patch changed,
     must hold exactly the list: one fragment key per listed fragment,
@@ -348,5 +350,11 @@ def _tree_drift(
             return f"node {twin.dewey or twin.label!r} has code {node.dewey}"
         if len(node.children) != len(twin.children):
             return f"node {twin.dewey or twin.label!r} child count"
+        for child in node.children:
+            if child.parent is not node:
+                return (
+                    f"node {child.dewey or child.label!r} has another "
+                    f"parent than the node that lists it"
+                )
         stack.extend(zip(node.children, twin.children))
     return None

@@ -520,6 +520,11 @@ class MaterializedViewSystem:
         and publish an epoch with a rebuilt monolithic VFILTER.  Used
         by document maintenance when a refreshed view outgrows the
         fragment cap or fails to re-materialize.
+
+        An evicted view's fragments also leave the fragment store (its
+        list, fragment keys and manifest): they may hold the pre-edit
+        document, and a :meth:`reopen` would otherwise bring the view
+        back with them.  A capped view keeps its capped manifest.
         """
         with self._mutate_lock:
             self._invalidate_plans()
@@ -534,6 +539,9 @@ class MaterializedViewSystem:
                 list(materialized), epoch.vfilter.attribute_pruning
             )
             self._publish(epoch.views, materialized, vfilter)
+            for view_id in sorted(gone):
+                if self.fragments.is_materialized(view_id):
+                    self.fragments.drop(view_id)
 
     # ------------------------------------------------------------------
     # plan cache plumbing

@@ -16,8 +16,10 @@ the entire document.  This module replaces that with delta propagation:
    sound);
 3. affected views are spliced in place by packed-Dewey range
    (:mod:`repro.delta.patcher`) after evaluating the pattern under the
-   scope only; payloads are encoded once per edit and shared across
-   views.  A schema-violating insert scopes every view to the document
+   scope only; a fragment containing the edit is spliced from its
+   pre-edit bytes and tree, and every payload is written once per
+   edit and shared across views.  A schema-violating insert scopes
+   every view to the document
    root, so its splice replaces every stored fragment (a view the cap
    evicts leaves the pool for good);
 4. the plan cache is maintained like the views: only plans that
@@ -41,7 +43,9 @@ violate the mined schema changes the FST alphabet and so every code:
 the document is re-encoded, and each view then takes the same patch
 path as any other edit, scoped to the document root (reason
 ``full-reencode``).  A failed edit of either kind evicts the views it
-affects, whose fragments still hold the pre-edit document.
+affects, whose fragments still hold the pre-edit document, from the
+answerable pool and from the fragment store, so a reopen does not
+bring them back.
 
 Maintenance deliberately does **not** publish a new registry epoch: the
 epoch's per-epoch ``PlanCache`` must survive the edit so that its
@@ -342,9 +346,9 @@ class DocumentEditor:
         # embed fragment statistics — evict for every affected view,
         # content-only included, in one pass over the memo.
         system._memo.evict_views(impacts.affected_ids())
-        # Fragments encoded from the live tree during this edit, by
-        # packed code: one object, encoded and copied once, for every
-        # view storing the code.
+        # Fragments written during this edit (spliced, or encoded from
+        # the live tree), by packed code: one object, written once, for
+        # every view storing the code.
         encoded: dict[PackedCode, Fragment] = {}
         for index, impact in enumerate(impacts.impacts):
             view_id = impact.view.view_id
@@ -463,8 +467,8 @@ class DocumentEditor:
             self.system._stream_index = None
 
     def _evict_views(self, view_ids: list[str]) -> None:
-        """Remove views from the answerable pool and rebuild VFILTER;
-        every cached plan goes with them."""
+        """Remove views from the answerable pool and the fragment store
+        and rebuild VFILTER; every cached plan goes with them."""
         system = self.system
         system._memo.evict_views(view_ids)
         system._evict_materialized(view_ids)

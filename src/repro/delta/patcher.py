@@ -7,20 +7,28 @@ all keyed on packed Dewey byte order (which *is* document order):
 * **range delete** — fragments whose packed code falls inside the
   replaced range are dropped: the splice scope's range, or else the
   deleted subtree's ``[low, high)``;
-* **content re-encode** — fragments rooted at an ancestor-or-self of
-  the edit anchor serialize bytes from inside the edited region, so
-  they are re-encoded from the live tree (their answer-set membership
-  is unchanged — the resolver proved it);
+* **ancestor splice** — fragments rooted at an ancestor of the edit
+  hold bytes from inside the edited region (their answer-set
+  membership is unchanged — the resolver proved it).  Each is rebuilt
+  from its pre-edit :class:`Fragment` by
+  :meth:`Fragment.spliced <repro.storage.fragments.Fragment.spliced>`:
+  new nodes and record heads on the path from its root to the edit's
+  parent only, every other subtree's bytes sliced from the old payload
+  and its nodes shared with the old tree, so the cost follows the path
+  depth and the path nodes' fan-out, not the fragment's size;
 * **splice insert** — the caller evaluates the view under the scope the
   resolver chose (:mod:`repro.delta.resolver`); the answers that land
-  inside the scope's packed range are encoded and merged.
+  inside the scope's packed range are encoded from the live tree and
+  merged.
 
-A fragment encoded from the live tree is built by one walk
-(:func:`~repro.storage.serialize.encode_fragment_copy`) that writes
-its payload and a parentless copy of the subtree carrying every node's
-codes, once per packed code per edit: every view storing that code
-holds the same :class:`Fragment`, so its tree and label index are
-built at most once and no later read decodes it.
+A fragment encoded from the live tree (a spliced-in answer, or an
+ancestor whose tree was never built, e.g. after a reopen) is built by
+one walk (:func:`~repro.storage.serialize.encode_fragment_copy`) that
+writes its payload and a parentless copy of the subtree carrying every
+node's codes.  Either way a packed code is written once per edit:
+every view storing that code holds the same :class:`Fragment`, so its
+tree and label index are built at most once and no later read decodes
+it.
 Everything else reuses the stored fragment, payload bytes and decoded
 subtree included, and is not written to the KV store again.  The
 splice works by bisection on the view's code-ordered list: one cut
@@ -55,7 +63,12 @@ from ..core.rewrite import RewriteResult
 from ..errors import EncodingError
 from ..matching.evaluate import evaluate
 from ..storage.fragments import Fragment, FragmentStore
-from ..storage.serialize import copy_subtree, encode_dewey, encode_fragment_copy
+from ..storage.serialize import (
+    SubtreeSplice,
+    copy_subtree,
+    encode_dewey,
+    encode_fragment_copy,
+)
 from ..xmltree.builder import EncodedDocument
 from ..xmltree.dewey import (
     DeweyCode,
@@ -96,10 +109,10 @@ class FragmentPatcher:
         With ``scope``, every stored fragment in the scope's packed
         range is replaced by the ``answers`` (the view evaluated under
         the scope) in that range.  ``encoded`` maps packed codes to
-        the fragments already encoded from the live tree for this
-        edit; it is shared by every view the edit patches, so each
-        live subtree is encoded (and copied) once and every view
-        storing its code holds the same :class:`Fragment`.  Returns
+        the fragments already written for this edit, spliced or
+        encoded from the live tree; it is shared by every view the
+        edit patches, so each code is written once and every view
+        storing it holds the same :class:`Fragment`.  Returns
         the same cap verdict as ``materialize``: False means the view
         no longer fits and must leave the answerable pool.
         """
@@ -136,7 +149,15 @@ class FragmentPatcher:
         # Fragments rooted at an ancestor-or-self of the anchor outside
         # the replaced range hold the edited content: one bisect per
         # depth finds them, as the resolver's containment test does.
+        # Each is spliced from its stored bytes and tree, or encoded
+        # from the live subtree when its tree was never built.
         index = 0
+        splice = SubtreeSplice(
+            self.document.schema,
+            delta.parent.dewey_packed,  # type: ignore[arg-type]
+            delta.root_packed if delta.operation == "delete" else None,
+            delta.subtree_root if delta.operation == "insert" else None,
+        )
         for prefix in packed_prefixes(delta.anchor_packed):
             index = bisect_left(merged, prefix, index, key=_PACKED)
             if index == len(merged):
@@ -144,14 +165,20 @@ class FragmentPatcher:
             old = merged[index]
             if old.packed != prefix or low <= prefix < high:
                 continue
-            live = self.document.node_by_code(old.code)
-            if live is None:
-                raise EncodingError(
-                    f"fragment root {old.code} vanished during patch"
-                )
-            merged[index] = self._fragment(live, encoded)
-            written.append(merged[index])
-            total += merged[index].stored_bytes - old.stored_bytes
+            fragment = encoded.get(prefix)
+            if fragment is None:
+                fragment = old.spliced(splice)
+                if fragment is None:
+                    live = self.document.node_by_code(old.code)
+                    if live is None:
+                        raise EncodingError(
+                            f"fragment root {old.code} vanished during patch"
+                        )
+                    fragment = self._fragment(live, encoded)
+                encoded[prefix] = fragment
+            merged[index] = fragment
+            written.append(fragment)
+            total += fragment.stored_bytes - old.stored_bytes
         return self.fragments.replace(view.view_id, merged, total, cut, written)
 
     def _fragment(

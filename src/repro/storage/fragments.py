@@ -16,12 +16,18 @@ edit shifts, and a per-view manifest ``m:<view_id>`` recording the
 fragment count, cap state and total bytes.  Opening a store loads
 every view's list in one pass over the KV store.
 
-A :class:`Fragment` hands out one tree, complete and never changed
-after it is published: every node carries its extended Dewey code,
+A :class:`Fragment` hands out one tree, complete and unchanged while
+readers can reach it: every node carries its extended Dewey code,
 stamped by the decode (:func:`~repro.storage.serialize.decode_fragment`,
-from the root code and the schema the payload was written under) or
-copied from the live tree by delta maintenance.  The first decode
-runs under one lock, so racing readers all see the same tree.
+from the root code and the schema the payload was written under),
+copied from the live tree, or carried over by a splice.  The first
+decode runs under one lock, so racing readers all see the same tree.
+An edit inside the subtree retires the fragment
+(:meth:`Fragment.spliced`): the new fragment's tree shares every
+subtree off the edited path with the old one, and those subtrees are
+re-pointed at the new path nodes.  Edits run under the writer gate,
+which drains readers first, so no read is in flight when a tree
+changes, and no view lists a retired fragment afterwards.
 """
 
 from __future__ import annotations
@@ -37,12 +43,14 @@ from ..xmltree.schema import DocumentSchema
 from ..xmltree.tree import XMLNode
 from .kvstore import KVStore
 from .serialize import (
+    SubtreeSplice,
     decode_dewey,
     decode_fragment,
     decode_varint,
     encode_dewey,
     encode_fragment,
     encode_varint,
+    subtree_lengths,
 )
 
 __all__ = ["Fragment", "FragmentStore", "DEFAULT_FRAGMENT_CAP"]
@@ -64,19 +72,21 @@ class Fragment:
     at construction: it is the key of every bisect and sort over a
     view's fragments.  The subtree is decoded from the payload, under
     ``schema`` (the one it was written under), on first use, or handed
-    over at construction when delta maintenance has just encoded the
-    payload from the live tree
+    over at construction when delta maintenance has just written the
+    payload, spliced from the fragment it replaces (:meth:`spliced`)
+    or encoded from the live tree
     (:func:`~repro.storage.serialize.encode_fragment_copy`).  Either
-    way every node carries its code, and the tree never changes once
-    published.  A handed-over fragment is one object shared by every
-    view storing its code.  The per-depth packed prefixes and the
-    label index of the subtree are computed once per object and
-    amortized across queries by the view's fragment list.
+    way every node carries its code.  A handed-over fragment is one
+    object shared by every view storing its code.  The per-depth
+    packed prefixes and the label index of the subtree are computed
+    once per object and amortized across queries by the view's
+    fragment list; the subtree byte lengths a splice slices by are
+    built by the first splice and handed down the fragment's lineage.
     """
 
     __slots__ = (
         "code", "packed", "_payload", "_schema", "_root", "_prefixes",
-        "_subtree",
+        "_subtree", "_lengths",
     )
 
     def __init__(
@@ -86,14 +96,24 @@ class Fragment:
         schema: DocumentSchema,
         root: XMLNode | None = None,
         packed: PackedCode | None = None,
+        lengths: dict[PackedCode, int] | None = None,
     ) -> None:
-        self.code = code
+        self.code = code  #: state: hard
+        #: state: hard
         self.packed: PackedCode = pack_code(code) if packed is None else packed
-        self._payload = payload
-        self._schema = schema
+        self._payload = payload  #: state: hard
+        self._schema = schema  #: state: hard
+        #: state: soft(derived-from=_payload, _schema; rebuild=root)
         self._root = root
+        #: state: soft(derived-from=packed; rebuild=prefixes)
         self._prefixes: tuple[PackedCode, ...] | None = None
+        #: state: soft(derived-from=_payload, _schema; rebuild=subtree_index)
         self._subtree: SubtreeIndex | None = None
+        # Each node's subtree byte length in the payload, by packed
+        # code: what a splice slices by.  Built by the first splice of
+        # a lineage and carried to the fragment it makes.
+        #: state: soft(derived-from=_payload; rebuild=spliced)
+        self._lengths = lengths
 
     @property
     def root(self) -> XMLNode:
@@ -130,6 +150,34 @@ class Fragment:
         if self._subtree is None:
             self._subtree = SubtreeIndex(self.root)
         return self._subtree
+
+    def spliced(self, splice: SubtreeSplice) -> "Fragment | None":
+        """This fragment after ``splice``, an edit inside its subtree,
+        built from the stored payload and tree by
+        :meth:`SubtreeSplice.apply`; None when the tree is not built
+        or the payload was written under another schema, so the caller
+        encodes the live subtree instead.
+
+        The new fragment takes over the subtree lengths, and this one
+        is retired: its tree shares subtrees with the new one, which
+        hang under the new path nodes.  Only an edit runs this, under
+        the writer gate, with no reader in flight.
+        """
+        root = self._root
+        if root is None or self._schema is not splice.schema:
+            return None
+        lengths = self._lengths
+        # Carried to the new fragment, and dropped here even if the
+        # splice fails half-way through updating it.
+        self._lengths = None
+        if lengths is None:
+            lengths = subtree_lengths(
+                self._payload, decode_dewey(self._payload, 0)[1], root
+            )
+        payload, tree = splice.apply(self._payload, root, lengths)
+        return Fragment(
+            self.code, payload, self._schema, tree, self.packed, lengths
+        )
 
     @property
     def stored_bytes(self) -> int:
@@ -296,14 +344,17 @@ class FragmentStore:
         return True
 
     def drop(self, view_id: str) -> None:
-        """Remove a view's fragments and manifest."""
+        """Remove a view's fragments and manifest: every key under the
+        view's fragment prefix, listed or not, so the keys of a write
+        that failed half-way go too."""
         manifest = self._manifests.pop(view_id, None)
-        listed = self._lists.pop(view_id, [])
+        self._lists.pop(view_id, None)
         if manifest is None:
             return
         prefix = self._fragment_prefix(view_id)
-        for fragment in listed:
-            self.store.delete(prefix + fragment.packed)
+        for key in self.store.keys():
+            if key.startswith(prefix):
+                self.store.delete(key)
         self.store.delete(self._manifest_key(view_id))
 
     # ------------------------------------------------------------------

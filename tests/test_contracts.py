@@ -12,8 +12,9 @@ Four angles:
   (the exact bug lint rules L15 and L7 guard against) serves a stale
   cached plan, and the sampled plan-consistency contract catches it.
 * fragment drift: a fragment tree held in memory that is not its
-  payload's decode (an attribute, a code or the child order lost)
-  fails the patched-fragments contract.
+  payload's decode (an attribute, a code or the child order lost), or
+  a spliced tree whose shared subtrees were not re-pointed at their
+  new parents, fails the patched-fragments contract.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.core.system import MaterializedViewSystem
 from repro.core.vfilter import FilterResult
 from repro.core.view import View
 from repro.errors import ViewNotAnswerableError
+from repro.storage import serialize
 from repro.xmltree.builder import encode_tree
 from repro.xmltree.tree import XMLNode, build_tree
 from repro.xpath.parser import parse_xpath
@@ -281,6 +283,26 @@ def test_drifted_fragment_tree_caught_by_patched_fragments(drift):
     drift(fragment.built_root)
     with pytest.raises(ContractViolation, match="not its payload's decode"):
         contracts.check_patched_fragments(system, view, "drifted")
+
+
+def test_splice_without_re_pointing_caught_by_patched_fragments(monkeypatch):
+    # A splice shares the old tree's off-path subtrees with the new one
+    # and re-points them at the new path nodes; a mutant that skips
+    # the re-pointing leaves children whose parent is a retired node.
+    doc = encode_tree(build_tree(("b", ["t", ("s", ["t", "p", ("f", ["i"])])])))
+    system = MaterializedViewSystem(doc)
+    system.register_view("vs", "//b/s")
+    (view,) = system.materialized_views()
+    system.fragments.fragments("vs")[0].root
+    section = doc.tree.root.children[1]
+    editor = DocumentEditor(system)
+    editor.insert_subtree(section.dewey, XMLNode("p"))
+    contracts.check_patched_fragments(system, view, "healthy")
+    # The editor checks every view it patched.
+    monkeypatch.setenv("XMVR_CHECK", "1")
+    monkeypatch.setattr(serialize, "_adopt", lambda parents: None)
+    with pytest.raises(ContractViolation, match="another parent"):
+        editor.insert_subtree(section.children[2].dewey, XMLNode("i"))
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,17 @@ Covers the pieces the coarse maintenance tests don't:
 * re-encoded fragments — an edit encodes each live subtree once into
   one shared, code-stamped :class:`Fragment`, detached from the live
   tree, that reads use without decoding or re-stamping it;
+* spliced fragments — a fragment rooted at an ancestor of the edit is
+  rebuilt from its pre-edit bytes and tree: new nodes on the path
+  only, every off-path subtree shared by identity, byte-identical to
+  a fresh encode across gaps, count-width changes, nested ancestors
+  and edits at a fragment root (an unbuilt tree and a
+  schema-violating insert take the full walk instead), and pairs of
+  edits leave the tracked-object count bounded;
 * failed edits — an error after the tree changed (a schema-violating
   insert's re-encode included) evicts the affected views, whose
-  fragments still hold the pre-edit document;
+  fragments still hold the pre-edit document, from the answerable
+  pool and from the fragment store;
 * plan-cache upkeep — one counted invalidation per edit (the old
   double-``_invalidate_plans`` edit path is gone), plans over untouched
   views stay warm, plans over affected views are kept, spliced or
@@ -36,6 +44,7 @@ Covers the pieces the coarse maintenance tests don't:
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
 
@@ -47,6 +56,7 @@ from repro import MaterializedViewSystem, encode_tree
 from repro.bench import PROCESSING_CONFIG, SEED_VIEWS, TEST_QUERIES
 from repro.delta import DocumentEditor, SubtreeDelta, resolve_affected
 from repro.delta import maintenance
+from repro.delta import patcher as patcher_module
 from repro.matching import evaluate
 from repro.service import zipf_weights
 from repro.service.engine import SnapshotEngine
@@ -58,6 +68,7 @@ from repro.workload.querygen import (
 from repro.workload.xmark import generate_xmark_document
 from repro.storage import KVStore
 from repro.storage import fragments as fragments_module
+from repro.storage import serialize
 from repro.storage.serialize import (
     decode_dewey,
     decode_fragment,
@@ -403,6 +414,221 @@ class TestReencodedFragments:
 
 
 # ----------------------------------------------------------------------
+# ancestor fragments are spliced from their pre-edit bytes and tree
+# ----------------------------------------------------------------------
+def _spy_splices(monkeypatch) -> list[tuple]:
+    """Record each ``Fragment.spliced`` call as ``(old, new)``; ``new``
+    is None where the patcher fell back to encoding the live subtree."""
+    calls: list[tuple] = []
+    real = fragments_module.Fragment.spliced
+
+    def spy(self, splice):
+        result = real(self, splice)
+        calls.append((self, result))
+        return result
+
+    monkeypatch.setattr(fragments_module.Fragment, "spliced", spy)
+    return calls
+
+
+def _assert_views_byte_identical(system: MaterializedViewSystem) -> None:
+    for view in system.materialized_views():
+        assert _stored_payloads(system, view.view_id) == _expected_payloads(
+            system, view
+        ), view.view_id
+    _assert_fragment_trees_match_payloads(system)
+    for view in system.materialized_views():
+        for fragment in system.fragments.fragments(view.view_id):
+            root = fragment.built_root
+            if root is None:
+                continue
+            for node in root.iter_subtree():
+                for child in node.children:
+                    assert child.parent is node
+
+
+def _decoded_system(shape, views: dict[str, str]) -> MaterializedViewSystem:
+    system = MaterializedViewSystem(encode_tree(build_tree(shape)))
+    system.register_views(views)
+    for view in system.materialized_views():
+        for fragment in system.fragments.fragments(view.view_id):
+            fragment.root
+    return system
+
+
+class TestSplicedFragments:
+    def test_delete_gap_makes_the_next_sibling_store_its_component(
+        self, monkeypatch
+    ):
+        # Under s (child labels t, p, f: fanout 3) the second p has
+        # component 4; once the first p (1) is gone, its smallest
+        # admissible component after t (0) is 1, so it stores 4.
+        system = _decoded_system(
+            ("b", ["t", ("s", ["t", "p", "p"]), ("s", ["t", "p", ("f", ["i"])])]),
+            {"VS": "//b/s", "VB": "/b"},
+        )
+        section = _first_section(system)
+        assert [child.dewey[-1] for child in section.children] == [0, 1, 4]
+        splices = _spy_splices(monkeypatch)
+        DocumentEditor(system).delete_subtree(section.children[1].dewey)
+        fanout = system.document.schema.fanout("s")
+        assert serialize._gaps(section.children, fanout) == [False, True]
+        assert len(splices) == 2 and all(new is not None for _, new in splices)
+        _assert_views_byte_identical(system)
+        # And back: the re-insert lands after the explicit sibling.
+        DocumentEditor(system).insert_subtree(section.dewey, XMLNode("p"))
+        _assert_views_byte_identical(system)
+
+    @pytest.mark.parametrize("start", [127, 128])
+    def test_child_count_crossing_128_changes_the_count_width(
+        self, monkeypatch, start
+    ):
+        # 127 children need a one-byte count, 128 two bytes: the insert
+        # widens it, the delete narrows it.  s is a fragment root (VS)
+        # and a path node below one (VB).
+        shape = ("b", ["t", ("s", ["t"] + ["p"] * (start - 1))])
+        system = _decoded_system(shape, {"VS": "//b/s", "VB": "/b"})
+        section = _first_section(system)
+        splices = _spy_splices(monkeypatch)
+        editor = DocumentEditor(system)
+        if start == 127:
+            editor.insert_subtree(section.dewey, XMLNode("p"))
+            assert len(section.children) == 128
+        else:
+            editor.delete_subtree(section.children[-1].dewey)
+            assert len(section.children) == 127
+        assert len(splices) == 2 and all(new is not None for _, new in splices)
+        _assert_views_byte_identical(system)
+
+    def test_insert_directly_under_a_fragment_root(self, monkeypatch):
+        system = _decoded_system(
+            ("b", ["t", ("s", ["t", "p"]), ("s", ["t", "p", ("f", ["i"])])]),
+            {"VS": "//b/s"},
+        )
+        section = _first_section(system)
+        old = system.fragments.fragments("VS")[0]
+        splices = _spy_splices(monkeypatch)
+        inserted = build_tree(("f", ["i", "i"])).root
+        DocumentEditor(system).insert_subtree(section.dewey, inserted)
+        ((spliced_from, new),) = splices
+        assert spliced_from is old and new is not None
+        assert system.fragments.fragments("VS")[0] is new
+        # The inserted subtree is a copy, not the live nodes.
+        added = new.root.children[-1]
+        assert added is not inserted and added.parent is new.root
+        assert coded_nodes(added) == coded_nodes(inserted)
+        _assert_views_byte_identical(system)
+
+    def test_delete_of_a_fragment_roots_last_child(self, monkeypatch):
+        system = _decoded_system(
+            ("b", ["t", ("s", ["t", "p"]), ("s", ["t", "p", ("f", ["i"])])]),
+            {"VS": "//b/s", "VF": "//s/f"},
+        )
+        second = system.document.tree.root.children[2]
+        splices = _spy_splices(monkeypatch)
+        editor = DocumentEditor(system)
+        editor.delete_subtree(second.children[-1].dewey)
+        assert [new is not None for _, new in splices] == [True]
+        _assert_views_byte_identical(system)
+        # Down to a childless fragment root.
+        while second.children:
+            editor.delete_subtree(second.children[-1].dewey)
+            _assert_views_byte_identical(system)
+        assert system.fragments.fragments("VS")[1].root.children == []
+
+    def test_nested_ancestor_fragments_in_one_edit(self, monkeypatch):
+        document = generate_xmark_document(scale=0.02, seed=42)
+        system = MaterializedViewSystem(document)
+        system.register_views({
+            "R": "/site/regions",
+            "A": "/site/regions/africa",
+            "I": "/site/regions/africa/item",
+            "S": "//s",
+        })
+        for view in system.materialized_views():
+            for fragment in system.fragments.fragments(view.view_id):
+                fragment.root
+        item = system.document.tree.root.children[0].children[0].children[0]
+        assert item.label == "item"
+        site = item.children[-1]
+        splices = _spy_splices(monkeypatch)
+        editor = DocumentEditor(system)
+        editor.delete_subtree(site.dewey)
+        assert sorted(old.code for old, new in splices if new is not None) == [
+            item.dewey[:2], item.dewey[:3], item.dewey,
+        ]
+        _assert_views_byte_identical(system)
+        editor.insert_subtree(item.dewey, _clone(site))
+        _assert_views_byte_identical(system)
+        # A view with nested answers: both s fragments hold the edit.
+        book = _decoded_system(
+            ("b", [("s", ["t", ("s", ["t", "p"])])]), {"VS": "//s"}
+        )
+        splices.clear()
+        inner = book.document.tree.root.children[0].children[1]
+        DocumentEditor(book).insert_subtree(inner.dewey, XMLNode("p"))
+        assert len(splices) == 2 and all(new is not None for _, new in splices)
+        _assert_views_byte_identical(book)
+
+    def test_unbuilt_tree_after_reopen_takes_the_full_walk(self, monkeypatch):
+        kv = KVStore()
+        document = encode_tree(build_tree(
+            ("b", ["t", ("s", ["t", "p"]), ("s", ["t", "p", ("f", ["i"])])])
+        ))
+        MaterializedViewSystem(document, store=kv).register_view("VS", "//b/s")
+        system = MaterializedViewSystem.reopen(document, kv)
+        assert system.fragments.fragments("VS")[0].built_root is None
+        splices = _spy_splices(monkeypatch)
+        walks = _count_calls(monkeypatch, patcher_module, "encode_fragment_copy")
+        editor = DocumentEditor(system)
+        section = _first_section(system)
+        editor.insert_subtree(section.dewey, XMLNode("p"))
+        assert [new for _, new in splices] == [None] and walks[0] == 1
+        _assert_views_byte_identical(system)
+        # The walk built the tree, so the next edit splices it.
+        editor.delete_subtree(section.children[-1].dewey)
+        assert splices[-1][1] is not None and walks[0] == 1
+        _assert_views_byte_identical(system)
+
+    def test_schema_violating_insert_takes_the_full_walk(self, monkeypatch):
+        system = _decoded_system(
+            ("b", ["t", ("s", ["t", "p"]), ("s", ["t", "p", ("f", ["i"])])]),
+            {"VS": "//b/s", "VB": "/b"},
+        )
+        splices = _spy_splices(monkeypatch)
+        report = DocumentEditor(system).insert_subtree(
+            _first_section(system).dewey, XMLNode("zzz")
+        )
+        assert report.full_reencode
+        assert splices == []
+        _assert_views_byte_identical(system)
+
+    def test_splice_shares_every_off_path_subtree(self):
+        system = _decoded_system(
+            ("b", ["t", ("s", ["t", "p", ("f", ["i", "i"]), "p"])]),
+            {"VS": "//b/s"},
+        )
+        old = system.fragments.fragments("VS")[0]
+        before = old.root
+        t, p, f, last = before.children
+        first_i, second_i = f.children
+        section = _first_section(system)
+        DocumentEditor(system).delete_subtree(section.children[2].children[0].dewey)
+        new = system.fragments.fragments("VS")[0]
+        root = new.root
+        assert new is not old and root is not before
+        assert root.children[0] is t and root.children[1] is p
+        assert root.children[3] is last
+        assert root.children[2] is not f and root.children[2].children == [second_i]
+        assert t.parent is root and second_i.parent is root.children[2]
+        # The retired tree keeps its own child lists.
+        assert before.children == [t, p, f, last] and f.children == [first_i, second_i]
+        live = {id(node) for node in system.document.tree.iter_nodes()}
+        assert not any(id(node) in live for node in root.iter_subtree())
+        _assert_views_byte_identical(system)
+
+
+# ----------------------------------------------------------------------
 # scoped plan-cache invalidation (the double-invalidation regression)
 # ----------------------------------------------------------------------
 class TestScopedInvalidation:
@@ -589,6 +815,53 @@ class TestFailedEdits:
             3 if operation == "insert" else 1
         )
         self._assert_affected_view_evicted(system)
+
+    @pytest.mark.parametrize("failing", ["replace", "put"])
+    def test_failed_store_write_evicts_the_view_from_the_store(
+        self, monkeypatch, failing
+    ):
+        # The view's manifest and pre-edit fragments must leave the KV
+        # store too: a reopen would otherwise bring the view back with
+        # the deleted section's answer.  A put that fails after writing
+        # its key leaves a fragment the view's list never got, which
+        # must go as well (a reopen refuses keys without a manifest).
+        kv = KVStore()
+        system = MaterializedViewSystem(
+            encode_tree(build_tree(
+                ("b", ["t", ("s", ["t", "p"]), ("s", ["t", "p"])])
+            )),
+            store=kv,
+        )
+        system.register_view("VP", "//s/p")
+        editor = DocumentEditor(system)
+
+        def broken(self, *args):
+            raise RuntimeError("store write failed")
+
+        put = KVStore.put
+
+        def put_then_fail(self, key, value):
+            put(self, key, value)
+            raise RuntimeError("store write failed")
+
+        if failing == "replace":
+            monkeypatch.setattr(fragments_module.FragmentStore, "replace", broken)
+        else:
+            monkeypatch.setattr(KVStore, "put", put_then_fail)
+        with pytest.raises(RuntimeError, match="store write failed"):
+            if failing == "replace":
+                editor.delete_subtree(_first_section(system).dewey)
+            else:
+                second = system.document.tree.root.children[2]
+                editor.insert_subtree(second.dewey, XMLNode("p"))
+        monkeypatch.undo()
+        assert system.materialized_views() == []
+        assert system.fragments.stored("VP") == ({}, None)
+        assert system.fragments.fragments("VP") == []
+        reopened = MaterializedViewSystem.reopen(system.document, kv)
+        assert reopened.materialized_views() == []
+        outcome = reopened.try_answer("//s/p")
+        assert outcome is None or outcome.codes == reopened.direct_codes("//s/p")
 
     def test_failure_after_full_reencode_evicts_every_view(self, monkeypatch):
         system = _system({"VT": "//b/t", "VP": "//s/p"})
@@ -1206,3 +1479,34 @@ def test_delta_edits_keep_every_surviving_code(seed):
             for sibling in inserted.parent.children[:-1]:
                 assert sibling.dewey < inserted.dewey
                 assert sibling.dewey_packed < inserted.dewey_packed
+
+
+def test_edit_pairs_leave_the_tracked_object_count_bounded():
+    """Delete/re-insert pairs on a small XMark document, every fragment
+    decoded first: after pair N the collector tracks no more objects
+    than after pair N/3, give or take a small fixed bound, so retired
+    path nodes, their fragments and the subtree lengths carried from
+    fragment to fragment do not pile up."""
+    system = MaterializedViewSystem(generate_xmark_document(scale=0.05, seed=42))
+    system.register_views(dict(SEED_VIEWS))
+    generator = QueryGenerator(system.document.schema, PROCESSING_CONFIG, seed=42)
+    patterns = generate_positive(generator, system.document.tree, 30)
+    system.register_views(
+        {f"G{index}": pattern for index, pattern in enumerate(patterns)}
+    )
+    for view in system.materialized_views():
+        for fragment in system.fragments.fragments(view.view_id):
+            fragment.root
+    editor = DocumentEditor(system)
+    sites = [(site.parent, site) for site in _edit_sites(system, 4, seed=5)]
+    pairs = 30
+    counts: list[int] = []
+    for index in range(pairs):
+        parent, node = sites[index % len(sites)]
+        twin = _clone(node)
+        editor.delete_subtree(node.dewey)
+        editor.insert_subtree(parent.dewey, twin)
+        sites[index % len(sites)] = (parent, twin)
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    assert counts[-1] - counts[pairs // 3 - 1] <= 50, counts
